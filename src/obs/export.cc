@@ -5,7 +5,6 @@
 
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/openmetrics.h"
 #include "obs/span.h"
 
 namespace gral
@@ -37,15 +36,6 @@ extractObsFlags(std::vector<std::string> &args)
         std::string value;
         if (flagValue(arg, "metrics-out", value)) {
             options.metricsPath = value;
-        } else if (flagValue(arg, "metrics-format", value)) {
-            if (value == "json")
-                options.metricsFormat = MetricsFormat::Json;
-            else if (value == "openmetrics")
-                options.metricsFormat = MetricsFormat::OpenMetrics;
-            else
-                throw std::invalid_argument(
-                    "unknown metrics format: " + value +
-                    " (json|openmetrics)");
         } else if (flagValue(arg, "trace-out", value)) {
             options.tracePath = value;
         } else if (flagValue(arg, "log-level", value)) {
@@ -78,19 +68,6 @@ writeMetricsJsonFile(const std::string &path)
 }
 
 void
-writeMetricsOpenMetricsFile(const std::string &path)
-{
-    std::ofstream out(path);
-    if (!out)
-        throw std::runtime_error("cannot open " + path);
-    out << toOpenMetrics(MetricsRegistry::global().snapshot());
-    if (!out)
-        throw std::runtime_error("write failed: " + path);
-    GRAL_LOG(info) << "wrote OpenMetrics snapshot"
-                   << logField("path", path);
-}
-
-void
 writeChromeTraceFile(const std::string &path)
 {
     std::ofstream out(path);
@@ -106,12 +83,8 @@ writeChromeTraceFile(const std::string &path)
 void
 writeObsFiles(const ObsOptions &options)
 {
-    if (!options.metricsPath.empty()) {
-        if (options.metricsFormat == MetricsFormat::OpenMetrics)
-            writeMetricsOpenMetricsFile(options.metricsPath);
-        else
-            writeMetricsJsonFile(options.metricsPath);
-    }
+    if (!options.metricsPath.empty())
+        writeMetricsJsonFile(options.metricsPath);
     if (!options.tracePath.empty())
         writeChromeTraceFile(options.tracePath);
 }

@@ -14,13 +14,6 @@
 namespace gral
 {
 
-/** Serialization of a --metrics-out export. */
-enum class MetricsFormat
-{
-    Json,
-    OpenMetrics,
-};
-
 /** Parsed observability flags. */
 struct ObsOptions
 {
@@ -28,15 +21,12 @@ struct ObsOptions
     std::string metricsPath;
     /** Chrome-trace JSON destination ("" = no export). */
     std::string tracePath;
-    /** Serialization of metricsPath (--metrics-format=...). */
-    MetricsFormat metricsFormat = MetricsFormat::Json;
 };
 
 /**
- * Extract `--metrics-out=FILE`, `--metrics-format=json|openmetrics`,
- * `--trace-out=FILE` and `--log-level=LEVEL` from @p args (removing
- * them); a bad log level or metrics format throws
- * std::invalid_argument, a valid log level is applied immediately
+ * Extract `--metrics-out=FILE`, `--trace-out=FILE` and
+ * `--log-level=LEVEL` from @p args (removing them); a bad log level
+ * throws std::invalid_argument, a valid one is applied immediately
  * via setLogLevel.
  */
 ObsOptions extractObsFlags(std::vector<std::string> &args);
@@ -44,11 +34,6 @@ ObsOptions extractObsFlags(std::vector<std::string> &args);
 /** Write the global metrics snapshot as JSON to @p path.
  *  @throws std::runtime_error when the file cannot be written. */
 void writeMetricsJsonFile(const std::string &path);
-
-/** Write the global metrics snapshot as an OpenMetrics text document
- *  to @p path (Prometheus-scrapable; obs/openmetrics.h).
- *  @throws std::runtime_error when the file cannot be written. */
-void writeMetricsOpenMetricsFile(const std::string &path);
 
 /** Write the global trace recorder as Chrome trace JSON to @p path.
  *  @throws std::runtime_error when the file cannot be written. */

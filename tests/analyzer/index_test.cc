@@ -1,9 +1,8 @@
 /**
  * @file
- * Cross-TU program index tests: the ISSUE's motivating fixture (a
- * hot src/cachesim loop calling an allocating helper defined in
- * another TU), the index's parse/render round trip, signature-based
- * cache busting, and warm-run entry reuse.
+ * Cross-TU program index tests: a hot src/cachesim loop calling an
+ * allocating helper defined in another TU, suppressions at the call
+ * site and at the witness, and a rerun after the helper is edited.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 
 #include "analyzer/analyzer.h"
 #include "analyzer/index.h"
-#include "analyzer/version.h"
 
 namespace gral::analyzer
 {
@@ -99,73 +97,19 @@ TEST(Index, WitnessSuppressionNeverEntersTheIndex)
     EXPECT_TRUE(result.newFindings().empty());
 }
 
-TEST(Index, RenderParseRoundTrip)
+TEST(Index, EditedHelperClearsCrossTuFinding)
 {
-    ProgramIndex index;
-    AnalyzeOptions options;
-    options.jobs = 1;
-    options.index = &index;
-    analyzeTree(crossTuTree(), Baseline{}, options);
-    ASSERT_EQ(index.entries.size(), 3u);
-
-    std::string rendered = index.render();
-    ProgramIndex reparsed = ProgramIndex::parse(rendered);
-    EXPECT_EQ(reparsed.entries.size(), 3u);
-    EXPECT_EQ(reparsed.render(), rendered);
-    EXPECT_EQ(
-        reparsed.entries.at("src/cachesim/hot.cc").hotCalls.size(),
-        1u);
-    EXPECT_TRUE(
-        reparsed.entries.at("src/obs/helper.cc")
-            .defines("recordAccess"));
-}
-
-TEST(Index, StaleSignatureParsesEmpty)
-{
-    // An index written by any other analyzer version (different
-    // rule set or bumped kAnalyzerVersion) must read as cold.
-    std::string stale = "gral-analyzer-index v0/deadbeef\n"
-                        "file\tsrc/a.cc\tabc123\n";
-    EXPECT_TRUE(ProgramIndex::parse(stale).entries.empty());
-    EXPECT_TRUE(ProgramIndex::parse("").entries.empty());
-}
-
-TEST(Index, CurrentSignatureParsesNonEmpty)
-{
-    std::string fresh = "gral-analyzer-index " +
-                        analyzerSignature() +
-                        "\nfile\tsrc/a.cc\tabc123\n";
-    EXPECT_EQ(ProgramIndex::parse(fresh).entries.size(), 1u);
-}
-
-TEST(Index, WarmRunReusesUnchangedEntries)
-{
-    ProgramIndex index;
-    AnalyzeOptions options;
-    options.jobs = 1;
-    options.index = &index;
     SourceTree tree = crossTuTree();
+    ASSERT_EQ(analyzeTree(tree, Baseline{}, 1).newFindings().size(),
+              1u);
 
-    AnalysisResult cold = analyzeTree(tree, Baseline{}, options);
-    EXPECT_EQ(cold.indexEntriesBuilt, 3u);
-    EXPECT_EQ(cold.indexEntriesReused, 0u);
-
-    AnalysisResult warm = analyzeTree(tree, Baseline{}, options);
-    EXPECT_EQ(warm.indexEntriesBuilt, 0u);
-    EXPECT_EQ(warm.indexEntriesReused, 3u);
-    // The cross-TU findings are still recomputed from the index.
-    ASSERT_EQ(warm.newFindings().size(), 1u);
-    EXPECT_EQ(warm.newFindings()[0]->rule, "hot-path-alloc");
-
-    // Editing the helper rebuilds exactly its entry — and the
-    // finding in the *untouched* hot file disappears.
+    // Once the helper stops allocating, the finding in the
+    // untouched hot file is gone too.
     tree[2].content = "void recordAccess()\n"
                       "{\n"
                       "}\n";
-    AnalysisResult edited = analyzeTree(tree, Baseline{}, options);
-    EXPECT_EQ(edited.indexEntriesBuilt, 1u);
-    EXPECT_EQ(edited.indexEntriesReused, 2u);
-    EXPECT_TRUE(edited.newFindings().empty());
+    EXPECT_TRUE(
+        analyzeTree(tree, Baseline{}, 1).newFindings().empty());
 }
 
 } // namespace

@@ -74,25 +74,6 @@ TEST(ExtractObsFlags, BadLogLevelThrows)
     EXPECT_THROW(extractObsFlags(args), std::invalid_argument);
 }
 
-TEST(ExtractObsFlags, MetricsFormatSelectsOpenMetrics)
-{
-    std::vector<std::string> args = {
-        "--metrics-out=/tmp/m.txt", "--metrics-format=openmetrics"};
-    ObsOptions options = extractObsFlags(args);
-    EXPECT_EQ(options.metricsFormat, MetricsFormat::OpenMetrics);
-    EXPECT_TRUE(args.empty());
-
-    args = {"--metrics-format=json"};
-    EXPECT_EQ(extractObsFlags(args).metricsFormat,
-              MetricsFormat::Json);
-}
-
-TEST(ExtractObsFlags, BadMetricsFormatThrows)
-{
-    std::vector<std::string> args = {"--metrics-format=xml"};
-    EXPECT_THROW(extractObsFlags(args), std::invalid_argument);
-}
-
 TEST(WriteObsFiles, MetricsFileIsValidJson)
 {
     MetricsRegistry::global().counter("export_test.events").add(3);
@@ -118,35 +99,6 @@ TEST(WriteObsFiles, TraceFileIsValidChromeJson)
     EXPECT_TRUE(jsonValidate(text, &error)) << error;
     EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(text.find("export_test/span"), std::string::npos);
-}
-
-TEST(WriteObsFiles, OpenMetricsFileIsWellFormed)
-{
-    MetricsRegistry::global()
-        .counter("export_test.om_events")
-        .add(7);
-    TempPath file("gral_export_metrics.om");
-    writeMetricsOpenMetricsFile(file.path);
-
-    std::string text = readFile(file.path);
-    EXPECT_NE(text.find("gral_export_test_om_events_total"),
-              std::string::npos);
-    ASSERT_GE(text.size(), 6u);
-    EXPECT_EQ(text.substr(text.size() - 6), "# EOF\n");
-}
-
-TEST(WriteObsFiles, DispatchesOnMetricsFormat)
-{
-    MetricsRegistry::global()
-        .counter("export_test.fmt_events")
-        .add(1);
-    TempPath file("gral_export_dispatch.om");
-    ObsOptions options;
-    options.metricsPath = file.path;
-    options.metricsFormat = MetricsFormat::OpenMetrics;
-    writeObsFiles(options);
-    std::string text = readFile(file.path);
-    EXPECT_EQ(text.compare(0, 7, "# TYPE "), 0);
 }
 
 TEST(WriteObsFiles, UnwritablePathThrows)

@@ -57,30 +57,26 @@ strippedLine(const LexedFile &lexed, int line)
 /** Per-file working state of one run. */
 struct FileState
 {
-    bool lexed = false;
     LexedFile lex;
-    bool symbols = false;
     TokenStream ts;
     FileSymbols sym;
 };
 
-/** Run @p fn over every index in @p work, parallel when worthwhile. */
+/** Run @p fn over [0, @p n), parallel when worthwhile. */
 void
-runParallel(const std::vector<std::size_t> &work, unsigned jobs,
+runParallel(std::size_t n, unsigned jobs,
             const std::function<void(std::size_t)> &fn)
 {
     if (jobs == 0)
         jobs = std::max(1u, std::thread::hardware_concurrency());
     jobs = std::min<unsigned>(
-        jobs, static_cast<unsigned>(std::max<std::size_t>(
-                  work.size(), 1)));
-    if (jobs > 1 && work.size() > 1) {
+        jobs, static_cast<unsigned>(std::max<std::size_t>(n, 1)));
+    if (jobs > 1 && n > 1) {
         WorkStealingPool pool(jobs);
-        pool.run(work.size(),
-                 [&](std::size_t k) { fn(work[k]); });
+        pool.run(n, fn);
     } else {
-        for (std::size_t index : work)
-            fn(index);
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
     }
 }
 
@@ -132,8 +128,7 @@ loadTree(const std::string &root)
 }
 
 AnalysisResult
-analyzeTree(const SourceTree &tree, Baseline baseline,
-            const AnalyzeOptions &options)
+analyzeTree(const SourceTree &tree, Baseline baseline, unsigned jobs)
 {
     AnalysisResult analysis;
     const std::size_t n = tree.size();
@@ -151,139 +146,26 @@ analyzeTree(const SourceTree &tree, Baseline baseline,
         return it != pathIndex.end() ? it->second : n;
     };
 
-    // ------------------------------------------------ dirty marking
-    Cache *cache = options.cache;
-    std::vector<std::uint64_t> hashes(n);
-    std::vector<char> cachedOk(n, 0);
-    std::vector<char> dirty(n, 1);
-    for (std::size_t i = 0; i < n; ++i) {
-        hashes[i] = contentHash(tree[i].content);
-        if (cache != nullptr) {
-            auto it = cache->entries.find(paths[i]);
-            if (it != cache->entries.end() &&
-                it->second.hash == hashes[i]) {
-                cachedOk[i] = 1;
-                dirty[i] = 0;
-            }
-        }
-    }
-
-    // -------------------------------- lex what is known dirty so far
+    // ------------------------- lex, includes, tokens and symbols
     std::vector<FileState> state(n);
-    auto lexBatch = [&](const std::vector<std::size_t> &batch) {
-        runParallel(batch, options.jobs, [&](std::size_t i) {
-            state[i].lex = lexCpp(tree[i].content);
-            state[i].lexed = true;
-        });
-    };
-    std::vector<std::size_t> firstBatch;
-    for (std::size_t i = 0; i < n; ++i)
-        if (dirty[i])
-            firstBatch.push_back(i);
-    lexBatch(firstBatch);
-
-    // Include lists: fresh for dirty files, cached for clean ones
-    // (cached includes equal fresh ones — the bytes are unchanged).
     std::vector<std::vector<IncludeDirective>> includes(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        if (state[i].lexed)
-            includes[i] = extractIncludes(
-                state[i].lex.lines, splitLines(tree[i].content));
-        else
-            includes[i] = cache->entries.at(paths[i]).includes;
-    }
+    runParallel(n, jobs, [&](std::size_t i) {
+        state[i].lex = lexCpp(tree[i].content);
+        includes[i] = extractIncludes(state[i].lex.lines,
+                                      splitLines(tree[i].content));
+        state[i].ts = tokenize(state[i].lex);
+        state[i].sym = buildSymbols(state[i].ts);
+    });
 
     IncludeGraph graph(paths, includes);
 
-    // Forward and reverse adjacency over resolved edges.
-    std::vector<std::vector<std::size_t>> fwd(n), rev(n);
+    // Forward adjacency over resolved edges.
+    std::vector<std::vector<std::size_t>> fwd(n);
     for (const IncludeEdge &edge : graph.edges()) {
         std::size_t from = indexOf(edge.from);
         std::size_t to = indexOf(edge.to);
-        if (from >= n || to >= n)
-            continue;
-        fwd[from].push_back(to);
-        rev[to].push_back(from);
-    }
-
-    // ------------------- expand dirty through reverse include edges
-    {
-        std::vector<std::size_t> queue;
-        for (std::size_t i = 0; i < n; ++i)
-            if (dirty[i])
-                queue.push_back(i);
-        std::vector<std::size_t> added;
-        while (!queue.empty()) {
-            std::size_t to = queue.back();
-            queue.pop_back();
-            for (std::size_t from : rev[to])
-                if (!dirty[from]) {
-                    dirty[from] = 1;
-                    queue.push_back(from);
-                    added.push_back(from);
-                }
-        }
-        lexBatch(added);
-    }
-
-    // ----------------------------------------- --files selection
-    std::vector<char> analyzed(dirty.begin(), dirty.end());
-    if (!options.selectFiles.empty()) {
-        std::vector<char> selected(n, 0);
-        std::vector<std::size_t> queue;
-        for (const std::string &path : options.selectFiles) {
-            std::size_t i = indexOf(path);
-            if (i < n && !selected[i]) {
-                selected[i] = 1;
-                queue.push_back(i);
-            }
-        }
-        while (!queue.empty()) { // dependents of the selection
-            std::size_t to = queue.back();
-            queue.pop_back();
-            for (std::size_t from : rev[to])
-                if (!selected[from]) {
-                    selected[from] = 1;
-                    queue.push_back(from);
-                }
-        }
-        for (std::size_t i = 0; i < n; ++i)
-            analyzed[i] = analyzed[i] && selected[i];
-    }
-    for (std::size_t i = 0; i < n; ++i)
-        if (analyzed[i])
-            ++analysis.filesAnalyzed;
-
-    // ------------- symbols: analyzed files + their TU dependencies
-    std::vector<char> needSymbols(analyzed.begin(), analyzed.end());
-    {
-        std::vector<std::size_t> queue;
-        for (std::size_t i = 0; i < n; ++i)
-            if (needSymbols[i])
-                queue.push_back(i);
-        while (!queue.empty()) {
-            std::size_t from = queue.back();
-            queue.pop_back();
-            for (std::size_t to : fwd[from])
-                if (!needSymbols[to]) {
-                    needSymbols[to] = 1;
-                    queue.push_back(to);
-                }
-        }
-        std::vector<std::size_t> lexMore;
-        for (std::size_t i = 0; i < n; ++i)
-            if (needSymbols[i] && !state[i].lexed)
-                lexMore.push_back(i);
-        lexBatch(lexMore);
-        std::vector<std::size_t> symbolBatch;
-        for (std::size_t i = 0; i < n; ++i)
-            if (needSymbols[i])
-                symbolBatch.push_back(i);
-        runParallel(symbolBatch, options.jobs, [&](std::size_t i) {
-            state[i].ts = tokenize(state[i].lex);
-            state[i].sym = buildSymbols(state[i].ts);
-            state[i].symbols = true;
-        });
+        if (from < n && to < n)
+            fwd[from].push_back(to);
     }
 
     // TU view of file i: symbols of every transitive include.
@@ -299,139 +181,34 @@ analyzeTree(const SourceTree &tree, Baseline baseline,
                 if (!seen[to]) {
                     seen[to] = 1;
                     queue.push_back(to);
-                    if (state[to].symbols)
-                        deps.push_back(&state[to].sym);
+                    deps.push_back(&state[to].sym);
                 }
         }
         return buildTuView(state[i].sym, deps);
     };
 
-    // ---------------------------- per-file rules on the dirty set
+    // -------------------- per-file rules and cross-TU index entries
     std::vector<std::vector<Finding>> perFile(n);
-    {
-        std::vector<std::size_t> ruleBatch;
-        for (std::size_t i = 0; i < n; ++i)
-            if (analyzed[i])
-                ruleBatch.push_back(i);
-        runParallel(ruleBatch, options.jobs, [&](std::size_t i) {
-            TuView tu = makeTuView(i);
-            runFileRules(paths[i], state[i].lex, state[i].ts, tu,
-                         perFile[i]);
-        });
-    }
-
-    // ------------------- cross-TU program index (refresh + reuse)
-    ProgramIndex transientIndex;
-    ProgramIndex *index =
-        options.index != nullptr ? options.index : &transientIndex;
-    {
-        std::vector<char> rebuild(n, 0);
-        for (std::size_t i = 0; i < n; ++i) {
-            auto it = index->entries.find(paths[i]);
-            if (it == index->entries.end() ||
-                it->second.hash != hashes[i])
-                rebuild[i] = 1;
-            else
-                ++analysis.indexEntriesReused;
-        }
-        // Rebuilding an entry needs lexed+symboled state for the
-        // file and for its TU dependencies (the hot-op detector
-        // resolves virtual methods against the TU view).
-        std::vector<char> needState(n, 0);
-        {
-            std::vector<std::size_t> queue;
-            for (std::size_t i = 0; i < n; ++i)
-                if (rebuild[i] && !needState[i]) {
-                    needState[i] = 1;
-                    queue.push_back(i);
-                }
-            while (!queue.empty()) {
-                std::size_t from = queue.back();
-                queue.pop_back();
-                for (std::size_t to : fwd[from])
-                    if (!needState[to]) {
-                        needState[to] = 1;
-                        queue.push_back(to);
-                    }
-            }
-            std::vector<std::size_t> lexMore;
-            for (std::size_t i = 0; i < n; ++i)
-                if (needState[i] && !state[i].lexed)
-                    lexMore.push_back(i);
-            lexBatch(lexMore);
-            std::vector<std::size_t> symbolMore;
-            for (std::size_t i = 0; i < n; ++i)
-                if (needState[i] && !state[i].symbols)
-                    symbolMore.push_back(i);
-            runParallel(symbolMore, options.jobs,
-                        [&](std::size_t i) {
-                            state[i].ts = tokenize(state[i].lex);
-                            state[i].sym =
-                                buildSymbols(state[i].ts);
-                            state[i].symbols = true;
-                        });
-        }
-        std::vector<TuIndex> built(n);
-        std::vector<std::size_t> buildBatch;
-        for (std::size_t i = 0; i < n; ++i)
-            if (rebuild[i])
-                buildBatch.push_back(i);
-        analysis.indexEntriesBuilt = buildBatch.size();
-        runParallel(buildBatch, options.jobs, [&](std::size_t i) {
-            TuView tu = makeTuView(i);
-            built[i] = buildTuIndex(paths[i], hashes[i],
-                                    state[i].lex, state[i].ts, tu);
-        });
-        std::map<std::string, TuIndex> refreshed;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (rebuild[i])
-                refreshed[paths[i]] = std::move(built[i]);
-            else
-                refreshed[paths[i]] =
-                    std::move(index->entries.at(paths[i]));
-        }
-        // Deleted files drop out here: only current paths survive.
-        index->entries = std::move(refreshed);
-    }
+    std::vector<TuIndex> entries(n);
+    runParallel(n, jobs, [&](std::size_t i) {
+        TuView tu = makeTuView(i);
+        runFileRules(paths[i], state[i].lex, state[i].ts, tu,
+                     perFile[i]);
+        entries[i] =
+            buildTuIndex(paths[i], state[i].lex, state[i].ts, tu);
+    });
+    ProgramIndex index;
+    for (std::size_t i = 0; i < n; ++i)
+        index.entries[paths[i]] = std::move(entries[i]);
 
     // -------------------------------------------- assemble findings
+    auto lineAt = [&](std::size_t i, int line) {
+        return std::string(strippedLine(state[i].lex, line));
+    };
     std::vector<Item> items;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (analyzed[i]) {
-            for (Finding &finding : perFile[i])
-                items.push_back(
-                    {finding, std::string(strippedLine(
-                                  state[i].lex, finding.line))});
-        } else if (cachedOk[i] && !dirty[i]) {
-            for (const CachedFinding &cached :
-                 cache->entries.at(paths[i]).findings)
-                items.push_back(
-                    {cached.finding, cached.strippedLine});
-        }
-        // dirty but unanalyzed (filtered by --files): no findings —
-        // and below, no cache entry either, so nothing goes stale.
-    }
-
-    // Graph rules need suppression checks and stripped lines for
-    // files that were never lexed this run; those are clean cached
-    // files, whose entries carry both.
-    auto suppressedAt = [&](std::size_t i, int line,
-                            std::string_view rule) {
-        if (state[i].lexed)
-            return state[i].lex.isSuppressed(line, rule);
-        if (cache != nullptr) {
-            auto it = cache->entries.find(paths[i]);
-            if (it != cache->entries.end())
-                return it->second.isSuppressed(line, rule);
-        }
-        return false;
-    };
-    auto lineAt = [&](std::size_t i, int line) -> std::string {
-        if (state[i].lexed)
-            return std::string(strippedLine(state[i].lex, line));
-        return std::string(
-            cache->entries.at(paths[i]).includeLineAt(line));
-    };
+    for (std::size_t i = 0; i < n; ++i)
+        for (Finding &finding : perFile[i])
+            items.push_back({finding, lineAt(i, finding.line)});
 
     for (const IncludeEdge &edge : graph.edges()) {
         const std::string fromModule = moduleOf(edge.from);
@@ -441,7 +218,8 @@ analyzeTree(const SourceTree &tree, Baseline baseline,
         std::size_t fromIndex = indexOf(edge.from);
         auto flag = [&](const std::string &message) {
             if (fromIndex < n &&
-                suppressedAt(fromIndex, edge.line, "layering"))
+                state[fromIndex].lex.isSuppressed(edge.line,
+                                                  "layering"))
                 return;
             items.push_back(
                 {{edge.from, edge.line, 1, "layering", message},
@@ -481,7 +259,7 @@ analyzeTree(const SourceTree &tree, Baseline baseline,
             }
         std::size_t fromIndex = indexOf(from);
         if (fromIndex < n &&
-            suppressedAt(fromIndex, line, "include-cycle"))
+            state[fromIndex].lex.isSuppressed(line, "include-cycle"))
             continue;
         std::string chain;
         for (std::size_t i = 0; i < cycle.size(); ++i) {
@@ -495,14 +273,13 @@ analyzeTree(const SourceTree &tree, Baseline baseline,
                                        : std::string()});
     }
 
-    // Whole-program hot-path pass over the merged index. Like the
-    // graph rules it re-runs every time; suppressions are checked
-    // at the call site (lexed state or cache entry), and baseline
-    // keys use the stripped line carried in the index.
-    for (CrossTuFinding &cross : runCrossTuRules(*index)) {
+    // Whole-program hot-path pass over the merged index.
+    // Suppressions are checked at the call site; baseline keys use
+    // the stripped line carried in the index.
+    for (CrossTuFinding &cross : runCrossTuRules(index)) {
         std::size_t i = indexOf(cross.finding.path);
-        if (i < n &&
-            suppressedAt(i, cross.finding.line, cross.finding.rule))
+        if (i < n && state[i].lex.isSuppressed(cross.finding.line,
+                                               cross.finding.rule))
             continue;
         items.push_back(
             {std::move(cross.finding), cross.strippedLine});
@@ -524,43 +301,7 @@ analyzeTree(const SourceTree &tree, Baseline baseline,
         analysis.results.push_back(
             {std::move(item.finding), known, std::move(key)});
     }
-
-    // -------------------------------------------- cache refresh
-    if (cache != nullptr) {
-        std::map<std::string, CacheEntry> refreshed;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (analyzed[i]) {
-                CacheEntry entry;
-                entry.hash = hashes[i];
-                entry.includes = includes[i];
-                for (const IncludeDirective &inc : includes[i])
-                    entry.includeLines.push_back(std::string(
-                        strippedLine(state[i].lex, inc.line)));
-                entry.suppressions = state[i].lex.suppressions;
-                for (const Finding &finding : perFile[i])
-                    entry.findings.push_back(
-                        {finding,
-                         std::string(strippedLine(state[i].lex,
-                                                  finding.line))});
-                refreshed[paths[i]] = std::move(entry);
-            } else if (cachedOk[i] && !dirty[i]) {
-                refreshed[paths[i]] =
-                    cache->entries.at(paths[i]);
-            }
-            // dirty-but-unanalyzed: deliberately dropped, so the
-            // next unrestricted run re-analyzes it.
-        }
-        cache->entries = std::move(refreshed);
-    }
     return analysis;
-}
-
-AnalysisResult
-analyzeTree(const SourceTree &tree, Baseline baseline, unsigned jobs)
-{
-    AnalyzeOptions options;
-    options.jobs = jobs;
-    return analyzeTree(tree, std::move(baseline), options);
 }
 
 std::vector<std::string>

@@ -6,36 +6,21 @@
  * The driver is tree-agnostic so tests can analyze in-memory file
  * sets: loadTree() materializes the on-disk repo (src/, tools/,
  * bench/, examples/ — the same scope as the historical Python lint),
- * analyzeTree() does the work. Per-file lexing, symbol building and
- * rules are parallelized over the repo's own work-stealing pool
- * (src/exec/thread_pool.h); the include-graph rules run once on the
- * merged result.
+ * analyzeTree() does the work.
  *
- * v3 pipeline (AnalyzeOptions):
- *   1. hash every file; with a cache, mark files dirty when their
- *      bytes changed, then expand through reverse include edges
- *      (a header edit dirties every transitive includer — the TU
- *      symbol view merges header symbols, so this is a correctness
- *      rule, not a heuristic);
- *   2. lex + tokenize + build symbols for dirty files and for the
- *      headers their TU views need; run per-file rules on the dirty
- *      set only (optionally intersected with --files selection plus
- *      its dependents — the diff-aware CI path);
- *   3. refresh the cross-TU program index (index.h): per-file
- *      entries are reused when their content hash matches, rebuilt
- *      otherwise; then run the whole-program hot-path pass over the
- *      merged index — like the graph rules, it re-runs every time,
- *      because an edit anywhere can change findings in an untouched
- *      hot file;
- *   4. re-run the whole-tree graph rules (layering, include-cycle)
- *      from cached + fresh include lists;
- *   5. merge cached findings for clean files, sort, apply baseline;
- *   6. write refreshed entries back to the cache and the index.
+ * Every run is cold and analyzes every file, in one pipeline:
+ *   1. per file, in parallel: lex, extract includes, tokenize and
+ *      build symbols;
+ *   2. build the include graph from every file's include list;
+ *   3. per file, in parallel: merge the TU view (the file's symbols
+ *      plus those of its transitive includes), run the per-file
+ *      rules, and build the file's cross-TU index entry (index.h);
+ *   4. over the whole tree: the layering and include-cycle rules and
+ *      the whole-program hot-path fixpoint over the merged index;
+ *   5. sort the findings and apply the baseline.
  *
- * On a fully warm run (valid cache AND index) nothing is lexed and
- * step 2 analyzes 0 files. With a warm cache but no persisted index,
- * step 3 must still lex everything to rebuild the transient index —
- * which is why CI caches the index next to the findings cache.
+ * Both parallel steps run on the repo's own work-stealing pool
+ * (src/exec/thread_pool.h).
  */
 
 #ifndef GRAL_ANALYZER_ANALYZER_H
@@ -45,7 +30,6 @@
 #include <vector>
 
 #include "analyzer/baseline.h"
-#include "analyzer/cache.h"
 #include "analyzer/index.h"
 #include "analyzer/rules.h"
 #include "analyzer/sarif.h"
@@ -69,41 +53,9 @@ struct AnalysisResult
      *  rule); `baselined` marks the acknowledged ones. */
     std::vector<SarifResult> results;
     std::size_t filesScanned = 0;
-    /** Files whose rules actually ran this time (== filesScanned
-     *  without a cache; 0 on a fully warm incremental run). */
-    std::size_t filesAnalyzed = 0;
-    /** Program-index entries rebuilt this run (0 when the persisted
-     *  index was fully warm). */
-    std::size_t indexEntriesBuilt = 0;
-    /** Program-index entries reused from AnalyzeOptions::index. */
-    std::size_t indexEntriesReused = 0;
 
     /** Findings not covered by the baseline. */
     std::vector<const Finding *> newFindings() const;
-};
-
-/** Knobs of one analyzeTree() run. */
-struct AnalyzeOptions
-{
-    /** Worker threads (0 = hardware concurrency). */
-    unsigned jobs = 0;
-    /** Incremental cache, read and refreshed in place (nullptr =
-     *  analyze everything, cache nothing). */
-    Cache *cache = nullptr;
-    /** When non-empty: only these repo-relative paths and the files
-     *  that transitively include them are analyzed (diff-aware PR
-     *  mode). Findings of unselected clean files still come from the
-     *  cache; unselected files without a valid cache entry
-     *  contribute none. */
-    std::vector<std::string> selectFiles;
-    /** Cross-TU program index, read and refreshed in place. nullptr
-     *  = build a transient index for this run (cross-TU rules still
-     *  run, but every file must be lexed to feed them — persist the
-     *  index to keep warm runs lex-free). Unlike the findings cache
-     *  the index is never consulted for per-file findings; it only
-     *  feeds the whole-program pass, so a stale entry can at worst
-     *  cost a rebuild, never a wrong diagnostic. */
-    ProgramIndex *index = nullptr;
 };
 
 /**
@@ -112,12 +64,9 @@ struct AnalyzeOptions
  */
 SourceTree loadTree(const std::string &root);
 
-/** Analyze @p tree. @p baseline is consumed (entries matched at most
- *  once each). */
-AnalysisResult analyzeTree(const SourceTree &tree, Baseline baseline,
-                           const AnalyzeOptions &options);
-
-/** Convenience overload: no cache, no selection. */
+/** Analyze every file of @p tree on @p jobs worker threads (0 =
+ *  hardware concurrency). @p baseline is consumed (entries matched
+ *  at most once each). */
 AnalysisResult analyzeTree(const SourceTree &tree, Baseline baseline,
                            unsigned jobs = 0);
 

@@ -2,23 +2,13 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 #include <tuple>
-
-#include "analyzer/tsv.h"
-#include "analyzer/version.h"
 
 namespace gral::analyzer
 {
 
 namespace
 {
-
-std::string
-indexHeader()
-{
-    return "gral-analyzer-index " + analyzerSignature();
-}
 
 /** The hot range's place in a diagnostic message. */
 std::string
@@ -42,12 +32,10 @@ TuIndex::defines(std::string_view name) const
 }
 
 TuIndex
-buildTuIndex(const std::string &path, std::uint64_t hash,
-             const LexedFile &lexed, const TokenStream &ts,
-             const TuView &tu)
+buildTuIndex(const std::string &path, const LexedFile &lexed,
+             const TokenStream &ts, const TuView &tu)
 {
     TuIndex index;
-    index.hash = hash;
 
     for (const FunctionSymbol &fn : tu.local->functions) {
         if (!fn.hasBody)
@@ -103,109 +91,6 @@ buildTuIndex(const std::string &path, std::uint64_t hash,
         }
     }
     return index;
-}
-
-ProgramIndex
-ProgramIndex::parse(std::string_view text)
-{
-    ProgramIndex index;
-    std::size_t pos = 0;
-    bool first = true;
-    TuIndex *entry = nullptr;
-    IndexedFunction *fn = nullptr;
-    while (pos <= text.size()) {
-        std::size_t eol = text.find('\n', pos);
-        if (eol == std::string_view::npos)
-            eol = text.size();
-        std::string_view line = text.substr(pos, eol - pos);
-        pos = eol + 1;
-        if (first) {
-            if (line != indexHeader())
-                return ProgramIndex(); // version mismatch -> cold
-            first = false;
-            continue;
-        }
-        if (line.empty()) {
-            if (pos > text.size())
-                break;
-            continue;
-        }
-        std::vector<std::string_view> f = tsv::splitFields(line);
-        if (f[0] == "file" && f.size() == 3) {
-            std::uint64_t hash = 0;
-            if (!tsv::parseHex(f[2], hash))
-                return ProgramIndex();
-            entry = &index.entries[tsv::unescape(f[1])];
-            entry->hash = hash;
-            fn = nullptr;
-        } else if (f[0] == "fn" && f.size() == 4 && entry) {
-            IndexedFunction parsed;
-            parsed.name = tsv::unescape(f[1]);
-            parsed.className = tsv::unescape(f[2]);
-            if (!tsv::parseNumber(f[3], parsed.line))
-                return ProgramIndex();
-            entry->functions.push_back(std::move(parsed));
-            fn = &entry->functions.back();
-        } else if (f[0] == "op" && f.size() == 6 && fn) {
-            IndexedOp op;
-            op.rule = tsv::unescape(f[1]);
-            if (!tsv::parseNumber(f[2], op.line) ||
-                !tsv::parseNumber(f[3], op.column))
-                return ProgramIndex();
-            op.what = tsv::unescape(f[4]);
-            op.advice = tsv::unescape(f[5]);
-            fn->ops.push_back(std::move(op));
-        } else if (f[0] == "call" && f.size() == 3 && fn) {
-            fn->calls.push_back(
-                {tsv::unescape(f[1]), f[2] == "1"});
-        } else if (f[0] == "hot" && f.size() == 7 && entry) {
-            HotCallSite site;
-            site.callee = tsv::unescape(f[1]);
-            if (!tsv::parseNumber(f[2], site.line) ||
-                !tsv::parseNumber(f[3], site.column))
-                return ProgramIndex();
-            site.memberCall = f[4] == "1";
-            site.via = tsv::unescape(f[5]);
-            site.strippedLine = tsv::unescape(f[6]);
-            entry->hotCalls.push_back(std::move(site));
-        } else {
-            return ProgramIndex(); // unknown record -> corrupt
-        }
-        if (pos > text.size())
-            break;
-    }
-    return index;
-}
-
-std::string
-ProgramIndex::render() const
-{
-    std::ostringstream out;
-    out << indexHeader() << "\n";
-    for (const auto &[path, entry] : entries) {
-        out << "file\t" << tsv::escape(path) << "\t"
-            << tsv::hex(entry.hash) << "\n";
-        for (const IndexedFunction &fn : entry.functions) {
-            out << "fn\t" << tsv::escape(fn.name) << "\t"
-                << tsv::escape(fn.className) << "\t" << fn.line
-                << "\n";
-            for (const IndexedOp &op : fn.ops)
-                out << "op\t" << tsv::escape(op.rule) << "\t"
-                    << op.line << "\t" << op.column << "\t"
-                    << tsv::escape(op.what) << "\t"
-                    << tsv::escape(op.advice) << "\n";
-            for (const IndexedCall &call : fn.calls)
-                out << "call\t" << tsv::escape(call.callee) << "\t"
-                    << (call.memberCall ? 1 : 0) << "\n";
-        }
-        for (const HotCallSite &site : entry.hotCalls)
-            out << "hot\t" << tsv::escape(site.callee) << "\t"
-                << site.line << "\t" << site.column << "\t"
-                << (site.memberCall ? 1 : 0) << "\t"
-                << tsv::escape(site.via) << "\t"
-                << tsv::escape(site.strippedLine) << "\n";
-    }
-    return out.str();
 }
 
 namespace

@@ -21,20 +21,16 @@
  * op. Findings land at the call site in the hot file, with the
  * witness op's location in the message.
  *
- * The index persists between runs like the findings cache (cache.h):
- * one entry per file keyed by content hash, a version header
- * (version.h) so an analyzer upgrade busts it, and any parse
- * irregularity degrades to a cold rebuild. Entries of clean files
- * are reused verbatim; only dirty files re-index. The cross-TU pass
- * itself is pure in-memory graph work and re-runs every time — like
- * the layering/include-cycle rules — because a dirty file anywhere
- * can change findings in an untouched hot file.
+ * The index lives only for one run: analyzeTree() builds every
+ * file's entry beside its per-file rules, merges them, and runs the
+ * whole-program pass once, like the layering/include-cycle rules,
+ * because an edit in any file can change findings in an untouched
+ * hot file.
  */
 
 #ifndef GRAL_ANALYZER_INDEX_H
 #define GRAL_ANALYZER_INDEX_H
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -91,7 +87,6 @@ struct HotCallSite
 /** Index entry of one file. */
 struct TuIndex
 {
-    std::uint64_t hash = 0;
     std::vector<IndexedFunction> functions;
     std::vector<HotCallSite> hotCalls;
 
@@ -110,12 +105,6 @@ struct CrossTuFinding
 struct ProgramIndex
 {
     std::map<std::string, TuIndex> entries;
-
-    /** Parse index text; version/format mismatch -> empty index. */
-    static ProgramIndex parse(std::string_view text);
-
-    /** Render to the versioned text format. */
-    std::string render() const;
 };
 
 /**
@@ -123,9 +112,8 @@ struct ProgramIndex
  * come from @p tu's local symbols; hot call sites are only collected
  * when @p path is in the hot-path scope.
  */
-TuIndex buildTuIndex(const std::string &path, std::uint64_t hash,
-                     const LexedFile &lexed, const TokenStream &ts,
-                     const TuView &tu);
+TuIndex buildTuIndex(const std::string &path, const LexedFile &lexed,
+                     const TokenStream &ts, const TuView &tu);
 
 /**
  * The whole-program pass: merge every entry's call graph, propagate
@@ -133,8 +121,8 @@ TuIndex buildTuIndex(const std::string &path, std::uint64_t hash,
  * whose callee is defined in a different file and reaches an
  * expensive op. Deterministic: entries in path order, findings
  * sorted by (path, line, rule, column). Suppressions are NOT applied
- * here — the caller checks them against the lexed file or its cache
- * entry (the index does not carry suppression maps).
+ * here — the caller checks them against the lexed file (the index
+ * does not carry suppression maps).
  */
 std::vector<CrossTuFinding> runCrossTuRules(const ProgramIndex &index);
 

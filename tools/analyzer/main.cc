@@ -4,26 +4,16 @@
  *
  *   gral_analyzer [--root DIR] [--sarif FILE] [--baseline FILE]
  *                 [--no-baseline] [--write-baseline] [--jobs N]
- *                 [--cache FILE] [--index FILE] [--files a.cc,b.h]
  *                 [--fix] [--list-rules]
  *
- * Exit codes: 0 clean (or only baselined findings), 1 unbaselined
- * findings, 2 usage/IO error. Text diagnostics go to stdout as
- * `path:line:col: [rule] message`; `--sarif` additionally writes a
- * SARIF 2.1.0 report (default file gral_analysis.sarif). This is the
- * `repo_analyze` ctest and the CI `analyze` job
- * (DESIGN.md "Static analysis layer").
- *
- * Incremental mode: `--cache FILE` loads/stores the content-hash +
- * include-graph cache, so unchanged files are neither lexed nor
- * re-analyzed. `--index FILE` loads/stores the cross-TU program
- * index the whole-program hot-path rules run from; without it the
- * index is rebuilt from scratch every run (same findings, but every
- * file must be lexed — pass both for lex-free warm runs). `--files`
- * (comma-separated or repeated, repo-relative)
- * restricts analysis to those files plus everything that transitively
- * includes them — the diff-aware CI path. `--fix` applies the
- * auto-fixes attached to fresh findings (std-endl, include-guard
+ * Every run loads the whole tree and analyzes every file (see
+ * analyzer.h for the pipeline). Exit codes: 0 clean (or only
+ * baselined findings), 1 unbaselined findings, 2 usage/IO error.
+ * Text diagnostics go to stdout as `path:line:col: [rule] message`;
+ * `--sarif` additionally writes a SARIF 2.1.0 report (default file
+ * gral_analysis.sarif). This is the `repo_analyze` ctest and the CI
+ * `analyze` job (DESIGN.md "Static analysis layer"). `--fix` applies
+ * the auto-fixes attached to fresh findings (std-endl, include-guard
  * names, missing memory_order arguments) to the working tree and
  * reports what changed; remaining unfixable findings still exit 1.
  */
@@ -48,8 +38,7 @@ usageError(const std::string &message)
     std::cerr << "gral_analyzer: " << message << "\n"
               << "usage: gral_analyzer [--root DIR] [--sarif [FILE]] "
                  "[--baseline FILE] [--no-baseline] "
-                 "[--write-baseline] [--jobs N] [--cache FILE] "
-                 "[--index FILE] [--files LIST] [--fix] "
+                 "[--write-baseline] [--jobs N] [--fix] "
                  "[--list-rules]\n";
     return 2;
 }
@@ -61,20 +50,6 @@ readFile(const std::string &path)
     std::ostringstream buffer;
     buffer << in.rdbuf();
     return buffer.str();
-}
-
-/** Append comma-separated paths in @p list to @p out. */
-void
-splitPathList(const std::string &list, std::vector<std::string> &out)
-{
-    std::size_t start = 0;
-    for (std::size_t i = 0; i <= list.size(); ++i) {
-        if (i == list.size() || list[i] == ',') {
-            if (i > start)
-                out.push_back(list.substr(start, i - start));
-            start = i + 1;
-        }
-    }
 }
 
 } // namespace
@@ -90,9 +65,6 @@ main(int argc, char **argv)
     bool writeBaseline = false;
     bool listRules = false;
     bool applyFix = false;
-    std::string cachePath;
-    std::string indexPath;
-    std::vector<std::string> selectFiles;
     unsigned jobs = 0;
 
     std::vector<std::string> args(argv + 1, argv + argc);
@@ -127,17 +99,6 @@ main(int argc, char **argv)
             if (!takeValue(value))
                 return usageError("--jobs needs a count");
             jobs = static_cast<unsigned>(std::stoul(value));
-        } else if (arg == "--cache") {
-            if (!takeValue(cachePath))
-                return usageError("--cache needs a file");
-        } else if (arg == "--index") {
-            if (!takeValue(indexPath))
-                return usageError("--index needs a file");
-        } else if (arg == "--files") {
-            std::string value;
-            if (!takeValue(value))
-                return usageError("--files needs a path list");
-            splitPathList(value, selectFiles);
         } else if (arg == "--fix") {
             applyFix = true;
         } else if (arg == "--list-rules") {
@@ -167,35 +128,8 @@ main(int argc, char **argv)
     if (useBaseline && !writeBaseline)
         baseline = Baseline::parse(readFile(baselinePath));
 
-    Cache cache;
-    ProgramIndex programIndex;
-    AnalyzeOptions options;
-    options.jobs = jobs;
-    options.selectFiles = selectFiles;
-    if (!cachePath.empty()) {
-        cache = Cache::parse(readFile(cachePath));
-        options.cache = &cache;
-    }
-    if (!indexPath.empty()) {
-        programIndex = ProgramIndex::parse(readFile(indexPath));
-        options.index = &programIndex;
-    }
-
     AnalysisResult analysis =
-        analyzeTree(tree, std::move(baseline), options);
-
-    if (!cachePath.empty()) {
-        std::ofstream out(cachePath, std::ios::binary);
-        if (!out)
-            return usageError("cannot write " + cachePath);
-        out << cache.render();
-    }
-    if (!indexPath.empty()) {
-        std::ofstream out(indexPath, std::ios::binary);
-        if (!out)
-            return usageError("cannot write " + indexPath);
-        out << programIndex.render();
-    }
+        analyzeTree(tree, std::move(baseline), jobs);
 
     if (writeBaseline) {
         std::vector<std::string> keys;
@@ -225,13 +159,6 @@ main(int argc, char **argv)
                 out << file.content;
             }
             std::cout << "gral_analyzer: fixed " << path << "\n";
-        }
-        if (!changed.empty() && !cachePath.empty()) {
-            // Edited files must re-analyze next run; drop them.
-            for (const std::string &path : changed)
-                cache.entries.erase(path);
-            std::ofstream out(cachePath, std::ios::binary);
-            out << cache.render();
         }
     }
 
@@ -266,9 +193,7 @@ main(int argc, char **argv)
             std::chrono::steady_clock::now() - start)
             .count();
     std::cout << "gral_analyzer: " << analysis.filesScanned
-              << " files scanned, " << analysis.filesAnalyzed
-              << " analyzed, " << analysis.indexEntriesBuilt
-              << " indexed, " << fresh << " finding(s)";
+              << " files scanned, " << fresh << " finding(s)";
     if (fixable != 0)
         std::cout << " (" << fixable << " auto-fixed)";
     if (known != 0)

@@ -117,8 +117,7 @@ FileSymbols buildSymbols(const TokenStream &ts);
  * file's transitive repo-local includes. Fields and their
  * GRAL_GUARDED_BY annotations usually live in a header while the
  * member bodies live in the .cc — the merge is what makes the
- * cross-file contract checkable (and is exactly why the incremental
- * cache invalidates a .cc when one of its headers changes).
+ * cross-file contract checkable.
  *
  * Pointers borrow from the FileSymbols passed to buildTuView(); the
  * caller keeps those alive for the view's lifetime.

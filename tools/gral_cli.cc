@@ -101,6 +101,47 @@ struct LoadedGraph
     bool isMapped = false;
 };
 
+/**
+ * Check what decoding a compressed direction relies on: offsets that
+ * run monotone from 0 to |E|, and a byte index that runs monotone
+ * from 0 to the blob size with at least one byte per encoded
+ * neighbour. An uncompressed direction gets the full CSR check.
+ * @throws ValidationError naming @p what and the first violation.
+ */
+void
+validateCompressedIndex(const AdjacencyView &adjacency,
+                        const std::string &what)
+{
+    if (!adjacency.isCompressed()) {
+        validateCsr(adjacency, what);
+        return;
+    }
+    auto offsets = adjacency.offsets();
+    auto index = adjacency.compressedIndex();
+    auto fail = [&](const std::string &detail) {
+        throw ValidationError(what + ": " + detail);
+    };
+    if (offsets.empty() || index.size() != offsets.size())
+        fail("byte index has " + std::to_string(index.size()) +
+             " entries for " + std::to_string(offsets.size()) +
+             " offsets");
+    if (offsets.front() != 0 || index.front() != 0)
+        fail("offsets or byte index do not start at 0");
+    for (std::size_t v = 1; v < offsets.size(); ++v) {
+        if (offsets[v] < offsets[v - 1] || index[v] < index[v - 1])
+            fail("offsets or byte index not monotone at vertex " +
+                 std::to_string(v - 1));
+        if (offsets[v] - offsets[v - 1] > index[v] - index[v - 1])
+            fail("vertex " + std::to_string(v - 1) + " has more "
+                 "neighbours than encoded bytes");
+    }
+    if (index.back() != adjacency.compressedBlob().size())
+        fail("byte index ends at " + std::to_string(index.back()) +
+             " but the blob has " +
+             std::to_string(adjacency.compressedBlob().size()) +
+             " bytes");
+}
+
 LoadedGraph
 loadView(const std::string &path)
 {
@@ -108,19 +149,29 @@ loadView(const std::string &path)
     if (isGralbPath(path)) {
         loaded.mapped = MappedGraph::open(path);
         loaded.isMapped = true;
-        if (loaded.mapped.view().isCompressed()) {
+        // open() checks only the header and section geometry, so the
+        // mmap load stays O(1). The file is untrusted: check its
+        // payload here, before any subcommand walks it.
+        const GraphView &mapped = loaded.mapped.view();
+        if (mapped.isCompressed()) {
             // Most subcommands (reorder, metrics, ...) walk raw
             // neighbour spans; decode a compressed mapping into an
             // owned graph up front. Uncompressed mappings stay
             // zero-copy.
-            loaded.owned = decodeGraph(loaded.mapped.view());
+            validateCompressedIndex(mapped.out(),
+                                    path + " (out-adjacency)");
+            validateCompressedIndex(mapped.in(),
+                                    path + " (in-adjacency)");
+            try {
+                loaded.owned = decodeGraph(mapped);
+            } catch (const CheckError &error) {
+                throw ValidationError(path + ": " + error.what());
+            }
             loaded.view = loaded.owned;
         } else {
-            loaded.view = loaded.mapped.view();
+            loaded.view = mapped;
         }
-        // Header and section geometry were validated by open(); the
-        // O(|V|+|E|) structural pass is the writer's job, keeping the
-        // mmap load path O(1).
+        validateGraph(loaded.view, path);
         return loaded;
     }
     if (isBinaryPath(path)) {
@@ -591,11 +642,11 @@ main(int argc, char **argv)
         if (code == 0)
             writeObsFiles(obs);
     } catch (const ValidationError &error) {
-        std::cerr << "invalid input: " << error.what() << "\n";
+        std::cerr << "error: invalid input: " << error.what() << "\n";
         return 1;
     } catch (const CheckError &error) {
-        std::cerr << "internal invariant violated: " << error.what()
-                  << "\n";
+        std::cerr << "error: internal invariant violated: "
+                  << error.what() << "\n";
         return 1;
     } catch (const std::exception &error) {
         std::cerr << "error: " << error.what() << "\n";
