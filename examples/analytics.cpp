@@ -1,27 +1,27 @@
 /**
  * @file
- * Graph analytics on top of the SpMV engine — and what reordering
- * buys them.
+ * Graph analytics as kernels — and what reordering buys them.
  *
- * Runs PageRank, HITS, BFS, connected components, and SSSP on a
- * social network (the analytics the paper lists as SpMV-backed in
- * Section II-B), then repeats PageRank after GOrder reordering to
- * show the end-to-end effect on a real analytic, including whether
- * the preprocessing amortizes.
+ * Runs the PageRank, BFS and connected-components kernels on a social
+ * network (analytics the paper lists as SpMV-backed in Section II-B),
+ * then repeats PageRank after GOrder reordering to show the end-to-end
+ * effect on a real analytic, including whether the preprocessing
+ * amortizes.
  *
  * Build & run:  ./build/examples/analytics
  */
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <iostream>
 
-#include "algorithms/hits.h"
-#include "algorithms/pagerank.h"
-#include "algorithms/traversal.h"
 #include "analysis/report.h"
 #include "graph/generators.h"
 #include "graph/permutation.h"
+#include "kernels/bfs_kernel.h"
+#include "kernels/cc_kernel.h"
+#include "kernels/pagerank_kernel.h"
 #include "reorder/registry.h"
 
 using namespace gral;
@@ -29,12 +29,23 @@ using namespace gral;
 namespace
 {
 
-double
-seconds(const std::chrono::steady_clock::time_point &start)
+struct TimedRun
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
+    KernelRunInfo info;
+    double seconds = 0.0;
+};
+
+/** One untraced kernel run and its wall time. */
+TimedRun
+timedRun(Kernel &kernel, const GraphView &graph)
+{
+    auto start = std::chrono::steady_clock::now();
+    TimedRun timed;
+    timed.info = kernel.run(graph);
+    timed.seconds = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+    return timed;
 }
 
 } // namespace
@@ -50,25 +61,16 @@ main()
               << " |E|=" << graph.numEdges() << "\n\n";
 
     // --- the analytics suite ---
-    auto t0 = std::chrono::steady_clock::now();
-    PageRankResult pr = pageRank(graph);
-    double pr_s = seconds(t0);
+    PageRankKernel pagerank;
+    double pr_s = timedRun(pagerank, graph).seconds;
+    const PageRankResult &pr = pagerank.result(graph);
 
-    t0 = std::chrono::steady_clock::now();
-    HitsResult ht = hits(graph);
-    double hits_s = seconds(t0);
+    BfsKernel bfs_kernel(/*source=*/0);
+    double bfs_s = timedRun(bfs_kernel, graph).seconds;
+    const BfsResult &bf = bfs_kernel.result(graph);
 
-    t0 = std::chrono::steady_clock::now();
-    BfsResult bf = bfs(graph, 0);
-    double bfs_s = seconds(t0);
-
-    t0 = std::chrono::steady_clock::now();
-    LabelPropagationResult cc = labelPropagation(graph);
-    double cc_s = seconds(t0);
-
-    t0 = std::chrono::steady_clock::now();
-    SsspResult sp = sssp(graph, 0);
-    double sssp_s = seconds(t0);
+    CcKernel cc;
+    TimedRun cc_run = timedRun(cc, graph);
 
     TextTable table({"Analytic", "time (s)", "result summary"});
     table.addRow({"PageRank", formatDouble(pr_s, 3),
@@ -79,18 +81,15 @@ main()
                                        1e3,
                                    3) +
                       "e-3"});
-    table.addRow({"HITS", formatDouble(hits_s, 3),
-                  std::to_string(ht.iterations) + " iters"});
     table.addRow(
         {"BFS", formatDouble(bfs_s, 3),
          formatCount(bf.reached) + " reached, " +
              std::to_string(bf.denseRounds) + " dense rounds"});
-    table.addRow({"CC (label prop)", formatDouble(cc_s, 3),
-                  formatCount(cc.numComponents) + " components in " +
-                      std::to_string(cc.iterations) + " sweeps"});
-    table.addRow({"SSSP", formatDouble(sssp_s, 3),
-                  std::to_string(sp.rounds) + " rounds, " +
-                      formatCount(sp.relaxations) + " relaxations"});
+    table.addRow({"CC (label prop)", formatDouble(cc_run.seconds, 3),
+                  formatCount(cc.numComponents(graph)) +
+                      " components in " +
+                      std::to_string(cc_run.info.iterations) +
+                      " sweeps"});
     table.print(std::cout);
 
     // --- does reordering pay off for PageRank? ---
@@ -100,9 +99,9 @@ main()
     Permutation p = go->reorder(graph);
     Graph reordered = applyPermutation(graph, p);
 
-    t0 = std::chrono::steady_clock::now();
-    PageRankResult pr2 = pageRank(reordered);
-    double pr2_s = seconds(t0);
+    PageRankKernel pagerank2;
+    double pr2_s = timedRun(pagerank2, reordered).seconds;
+    const PageRankResult &pr2 = pagerank2.result(reordered);
 
     std::cout << "PageRank: " << formatDouble(pr_s, 3) << " s -> "
               << formatDouble(pr2_s, 3) << " s after GOrder ("

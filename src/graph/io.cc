@@ -1,6 +1,5 @@
 #include "graph/io.h"
 
-#include <array>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -15,9 +14,6 @@ namespace gral
 
 namespace
 {
-
-constexpr std::array<char, 8> kMagic = {'G', 'R', 'A', 'L',
-                                        'G', 'R', 'F', '1'};
 
 /** Block size for the streaming text parser's read(2) granularity. */
 constexpr std::size_t kReadBlockBytes = std::size_t{1} << 20;
@@ -69,44 +65,6 @@ parseEdgeLine(const char *p, const char *end, Edge &edge)
     edge = {static_cast<VertexId>(ids[0]),
             static_cast<VertexId>(ids[1])};
     return LineKind::HasEdge;
-}
-
-template <typename T>
-void
-writePod(std::ostream &out, const T &value)
-{
-    out.write(reinterpret_cast<const char *>(&value), sizeof(T));
-}
-
-template <typename T>
-T
-readPod(std::istream &in)
-{
-    T value{};
-    in.read(reinterpret_cast<char *>(&value), sizeof(T));
-    if (!in)
-        throw std::runtime_error("readBinary: truncated stream");
-    return value;
-}
-
-template <typename T>
-void
-writeVector(std::ostream &out, std::span<const T> values)
-{
-    out.write(reinterpret_cast<const char *>(values.data()),
-              static_cast<std::streamsize>(values.size() * sizeof(T)));
-}
-
-template <typename T>
-std::vector<T>
-readVector(std::istream &in, std::size_t count)
-{
-    std::vector<T> values(count);
-    in.read(reinterpret_cast<char *>(values.data()),
-            static_cast<std::streamsize>(count * sizeof(T)));
-    if (!in)
-        throw std::runtime_error("readBinary: truncated stream");
-    return values;
 }
 
 } // namespace
@@ -225,72 +183,6 @@ writeEdgeListText(const GraphView &graph, std::ostream &out)
     for (VertexId v = 0; v < graph.numVertices(); ++v)
         for (VertexId u : graph.outNeighbours(v))
             out << v << ' ' << u << '\n';
-}
-
-void
-writeBinary(const GraphView &graph, std::ostream &out)
-{
-    out.write(kMagic.data(), kMagic.size());
-    writePod<std::uint64_t>(out, graph.numVertices());
-    writePod<std::uint64_t>(out, graph.numEdges());
-    writeVector(out, graph.out().offsets());
-    writeVector(out, graph.out().edges());
-}
-
-void
-writeBinaryFile(const GraphView &graph, const std::string &path)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        throw std::runtime_error("cannot open " + path);
-    writeBinary(graph, out);
-}
-
-Graph
-readBinary(std::istream &in)
-{
-    std::array<char, 8> magic{};
-    in.read(magic.data(), magic.size());
-    if (!in || std::memcmp(magic.data(), kMagic.data(), magic.size()) != 0)
-        throw std::runtime_error("readBinary: bad magic");
-
-    auto num_vertices = readPod<std::uint64_t>(in);
-    auto num_edges = readPod<std::uint64_t>(in);
-    if (num_vertices > kInvalidVertex)
-        throw std::runtime_error("readBinary: vertex count overflow");
-
-    auto offsets = readVector<EdgeId>(in, num_vertices + 1);
-    auto edges = readVector<VertexId>(in, num_edges);
-
-    // A .grf file is untrusted input: reject out-of-range column
-    // indices here, before they index vertex arrays downstream (the
-    // Adjacency constructor only checks the offsets array).
-    for (VertexId column : edges) {
-        if (column >= num_vertices)
-            throw std::runtime_error(
-                "readBinary: edge endpoint " + std::to_string(column) +
-                " >= vertex count " + std::to_string(num_vertices));
-    }
-
-    Adjacency out(std::move(offsets), std::move(edges));
-    // Rebuild the CSC from the CSR.
-    std::vector<Edge> list;
-    list.reserve(num_edges);
-    for (VertexId v = 0; v < out.numVertices(); ++v)
-        for (VertexId u : out.neighbours(v))
-            list.push_back({v, u});
-    Adjacency in_adj = buildAdjacency(
-        static_cast<VertexId>(num_vertices), list, /*by_source=*/false);
-    return Graph(std::move(out), std::move(in_adj));
-}
-
-Graph
-readBinaryFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        throw std::runtime_error("cannot open " + path);
-    return readBinary(in);
 }
 
 Permutation

@@ -1,6 +1,7 @@
 /**
  * @file
- * Graph serialization: text edge lists and a compact binary format.
+ * Graph serialization: text edge lists and permutation files. The
+ * binary graph format is .gralb (graph/storage/gralb.h).
  *
  * The text format is the de-facto standard of the dataset archives the
  * paper draws from (KONECT / NetworkRepository / LWA): one "src dst"
@@ -54,21 +55,6 @@ std::vector<Edge> readEdgeListTextFile(const std::string &path);
 
 /** Write "src dst" lines for all edges of @p graph. */
 void writeEdgeListText(const GraphView &graph, std::ostream &out);
-
-/**
- * Write the binary format: magic, |V|, |E|, CSR offsets, CSR edges.
- * The CSC is rebuilt on load.
- */
-void writeBinary(const GraphView &graph, std::ostream &out);
-
-/** Write the binary format to a file. @throws std::runtime_error. */
-void writeBinaryFile(const GraphView &graph, const std::string &path);
-
-/** Load the binary format. @throws std::runtime_error on corruption. */
-Graph readBinary(std::istream &in);
-
-/** Load the binary format from a file. @throws std::runtime_error. */
-Graph readBinaryFile(const std::string &path);
 
 /**
  * Parse a relabeling array from text: one new ID per line, indexed by

@@ -19,9 +19,9 @@
  *               the in direction
  *     [192..)   section payloads, each 64-byte aligned
  *
- * Both directions are stored, so — unlike the legacy `.grf`, which
- * rebuilds the CSC on every load — opening a `.gralb` is O(1): map
- * the file, validate the header, point spans at the sections.
+ * Both directions are stored, so nothing is rebuilt on load: opening
+ * a `.gralb` is O(1) — map the file, validate the header, point spans
+ * at the sections.
  * Uncompressed sections are raw arrays (offsets u64[|V|+1], edges
  * u32[|E|]); compressed directions store the offsets array *plus* a
  * byte index and varint blob (varint.h) and leave the edges section

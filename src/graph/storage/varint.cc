@@ -1,5 +1,10 @@
 #include "graph/storage/varint.h"
 
+#include <string>
+
+#include "common/check.h"
+#include "graph/validate.h"
+
 namespace gral
 {
 
@@ -35,19 +40,26 @@ namespace
 {
 
 Adjacency
-decodeDirection(const AdjacencyView &adjacency)
+decodeDirection(const AdjacencyView &adjacency, const char *direction)
 {
     std::vector<EdgeId> offsets(adjacency.offsets().begin(),
                                 adjacency.offsets().end());
+    if (!adjacency.isCompressed())
+        return Adjacency(std::move(offsets),
+                         std::vector<VertexId>(adjacency.edges().begin(),
+                                               adjacency.edges().end()));
     std::vector<VertexId> edges(adjacency.numEdges());
-    NeighbourScratch scratch;
-    scratch.reserveFor(adjacency);
+    auto index = adjacency.compressedIndex();
+    auto blob = adjacency.compressedBlob();
     for (VertexId v = 0; v < adjacency.numVertices(); ++v) {
-        std::span<const VertexId> list =
-            scratch.neighbours(adjacency, v);
-        std::copy(list.begin(), list.end(),
-                  edges.begin() +
-                      static_cast<std::ptrdiff_t>(offsets[v]));
+        std::span<VertexId> list(edges.data() + offsets[v],
+                                 offsets[v + 1] - offsets[v]);
+        if (!decodeNeighbourList(
+                blob.subspan(index[v], index[v + 1] - index[v]), list))
+            throw ValidationError(
+                std::string(direction) +
+                ": corrupt compressed neighbour list at vertex " +
+                std::to_string(v));
     }
     return Adjacency(std::move(offsets), std::move(edges));
 }
@@ -57,8 +69,8 @@ decodeDirection(const AdjacencyView &adjacency)
 Graph
 decodeGraph(const GraphView &view)
 {
-    return Graph(decodeDirection(view.out()),
-                 decodeDirection(view.in()));
+    return Graph(decodeDirection(view.out(), "out-adjacency"),
+                 decodeDirection(view.in(), "in-adjacency"));
 }
 
 } // namespace gral

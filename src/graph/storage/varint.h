@@ -13,22 +13,19 @@
  * unsorted intermediates of builders and tests) round-trip too, just
  * with a sign bit spent.
  *
- * decodeNeighbourList is the hot loop of the compressed SpMV path —
- * one call per traversed vertex — so it never allocates; callers
- * decode into a NeighbourScratch sized once per producer.
+ * Compressed storage is decoded whole (decodeGraph) before anything
+ * traverses it; every kernel, reorderer and trace producer walks raw
+ * neighbour spans.
  */
 
 #ifndef GRAL_GRAPH_STORAGE_VARINT_H
 #define GRAL_GRAPH_STORAGE_VARINT_H
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "common/annotations.h"
-#include "common/check.h"
 #include "graph/types.h"
 #include "graph/view.h"
 
@@ -159,65 +156,13 @@ double compressedBytesPerEdge(const CompressedAdjacency &compressed,
  * Graph, decoding neighbour lists as needed. The span-only
  * counterpart is materializeGraph (graph/view.h), which refuses
  * compressed backings.
+ *
+ * @pre each compressed direction's offsets and byte index run
+ *      monotone from 0 to |E| and to the blob size.
+ * @throws ValidationError naming the direction and the vertex whose
+ *         encoded neighbour list does not decode.
  */
 Graph decodeGraph(const GraphView &view);
-
-/**
- * Reusable decode target so the per-vertex hot path never allocates:
- * reserveFor() sizes the buffer to the view's maximum degree once,
- * then neighbours() decodes into it (or forwards the raw span when
- * the view is uncompressed — making NeighbourScratch the one
- * traversal API that works over every backing).
- */
-class NeighbourScratch
-{
-  public:
-    /** Size the buffer for degrees up to @p max_degree. */
-    void
-    reserve(EdgeId max_degree)
-    {
-        // Cold path: one allocation per producer, before any tracing.
-        // gral-analyzer: off(hot-path-alloc)
-        buffer_.resize(max_degree);
-    }
-
-    /** Size the buffer for any vertex of @p adjacency (O(|V|) scan). */
-    void
-    reserveFor(const AdjacencyView &adjacency)
-    {
-        EdgeId max_degree = 0;
-        for (VertexId v = 0; v < adjacency.numVertices(); ++v)
-            max_degree = std::max(max_degree, adjacency.degree(v));
-        reserve(max_degree);
-    }
-
-    /**
-     * Neighbour list of @p v. Decodes into the scratch buffer when
-     * @p adjacency is compressed (requires reserveFor first); returns
-     * the raw span otherwise.
-     */
-    std::span<const VertexId>
-    neighbours(const AdjacencyView &adjacency, VertexId v)
-        GRAL_LIFETIMEBOUND
-    {
-        if (!adjacency.isCompressed())
-            return adjacency.neighbours(v);
-        auto degree = static_cast<std::size_t>(adjacency.degree(v));
-        GRAL_DCHECK(degree <= buffer_.size())
-            << "NeighbourScratch: reserveFor not called";
-        auto index = adjacency.compressedIndex();
-        auto blob = adjacency.compressedBlob();
-        std::span<VertexId> out(buffer_.data(), degree);
-        bool ok = decodeNeighbourList(
-            blob.subspan(index[v], index[v + 1] - index[v]), out);
-        GRAL_CHECK(ok) << "corrupt compressed adjacency at vertex "
-                       << v;
-        return out;
-    }
-
-  private:
-    std::vector<VertexId> buffer_;
-};
 
 } // namespace gral
 

@@ -19,12 +19,67 @@
 #ifndef GRAL_KERNELS_BFS_KERNEL_H
 #define GRAL_KERNELS_BFS_KERNEL_H
 
-#include "algorithms/traversal.h"
+#include <cstdint>
+#include <vector>
+
 #include "common/annotations.h"
 #include "kernels/kernel.h"
 
 namespace gral
 {
+
+/** Distance value for unreachable vertices. */
+inline constexpr std::uint32_t kUnreached = 0xffffffffu;
+
+/** BFS output. */
+struct BfsResult
+{
+    /** Hop distance from the source (kUnreached if not reached). */
+    std::vector<std::uint32_t> distance;
+    /** BFS parent (kInvalidVertex for source/unreached). */
+    std::vector<VertexId> parent;
+    /** Direction taken per executed round: roundDense[d] is nonzero
+     *  when round d+1 (producing depth-(d+1) vertices) ran dense
+     *  (pull). Lets a replay reconstruct the exact access stream of
+     *  the traversal from its final state. */
+    std::vector<std::uint8_t> roundDense;
+    /** Vertices reached (including the source). */
+    VertexId reached = 0;
+    /** Edges relaxed in sparse (push) rounds. */
+    EdgeId sparseEdges = 0;
+    /** Edges scanned in dense (pull) rounds. */
+    EdgeId denseEdges = 0;
+    /** Number of dense rounds (the paper's "dense phases"). */
+    unsigned denseRounds = 0;
+};
+
+/** Frontier-processing strategy. */
+enum class BfsMode : std::uint8_t
+{
+    /** Beamer-style push/pull switching on frontier edge count. */
+    DirectionOptimizing,
+    /** Always relax the frontier's out-edges (sparse). */
+    PushOnly,
+    /** Always scan unreached vertices' in-edges (dense). */
+    PullOnly,
+};
+
+/** Direction-optimizing BFS knobs. */
+struct BfsOptions
+{
+    /** Switch to the dense (pull) phase when the frontier holds more
+     *  than |E| / denseThreshold unexplored edges. */
+    EdgeId denseThreshold = 20;
+    /** Frontier-processing strategy. */
+    BfsMode mode = BfsMode::DirectionOptimizing;
+};
+
+/**
+ * Direction-optimizing BFS over the out-adjacency from @p source.
+ * @pre source < graph.numVertices().
+ */
+BfsResult bfs(const GraphView &graph, VertexId source,
+              const BfsOptions &options = {});
 
 /** Direction-optimizing BFS as an analyzable kernel. */
 class BfsKernel final : public Kernel
@@ -54,9 +109,6 @@ class BfsKernel final : public Kernel
 
     KernelRunInfo run(const GraphView &graph) override;
 
-    ProducerSet makeProducers(const GraphView &graph,
-                              const TraceOptions &options) override;
-
     /** Traversal result of the last prepared graph (runs if needed). */
     const BfsResult &result(const GraphView &graph) GRAL_LIFETIMEBOUND;
 
@@ -66,6 +118,9 @@ class BfsKernel final : public Kernel
     bool resolveAutoRelabel(const GraphView &graph) override;
 
   private:
+    ProducerSet buildProducers(const GraphView &graph,
+                               const TraceOptions &options) override;
+
     /** Run the traversal and rebuild the depth buckets. */
     void execute(const GraphView &graph);
 

@@ -195,7 +195,7 @@ CcKernel::execute(const GraphView &graph)
     changed_.clear();
     numComponents_ = 0;
 
-    // The algorithms-module sweep loop, with a per-sweep changed mask
+    // Min-label sweeps to the fixpoint, with a per-sweep changed mask
     // recorded so the producers can replay which stores happened.
     bool any_changed = n > 0;
     while (any_changed && (maxIterations_ == 0 ||
@@ -265,8 +265,8 @@ CcKernel::run(const GraphView &graph)
 }
 
 ProducerSet
-CcKernel::makeProducers(const GraphView &graph,
-                        const TraceOptions &options)
+CcKernel::buildProducers(const GraphView &graph,
+                         const TraceOptions &options)
 {
     prepare(graph);
     std::vector<VertexRange> parts = edgeBalancedPartitions(

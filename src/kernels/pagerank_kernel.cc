@@ -1,9 +1,9 @@
 #include "kernels/pagerank_kernel.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "graph/partition.h"
-#include "graph/storage/varint.h"
 
 namespace gral
 {
@@ -28,14 +28,6 @@ class PageRankTraceProducer final : public AccessProducer
           rangeEdges_(range_edges), iterations_(iterations),
           v_(range.begin)
     {
-        if (adj_.isCompressed()) {
-            // Setup: size the decode scratch once so fill() never
-            // allocates.
-            EdgeId max_degree = 0;
-            for (VertexId v = range.begin; v < range.end; ++v)
-                max_degree = std::max(max_degree, adj_.degree(v));
-            scratch_.reserve(max_degree);
-        }
     }
 
     std::size_t
@@ -95,7 +87,7 @@ class PageRankTraceProducer final : public AccessProducer
                     v_ = range_.begin;
                     break;
                 }
-                neighbours_ = scratch_.neighbours(adj_, v_);
+                neighbours_ = adj_.neighbours(v_);
                 nbrIndex_ = 0;
                 edge_ = adj_.beginEdge(v_);
                 stage_ = Stage::EdgeTopo;
@@ -148,7 +140,6 @@ class PageRankTraceProducer final : public AccessProducer
     }
 
     AdjacencyView adj_;
-    NeighbourScratch scratch_;
     TraceOptions options_;
     VertexRange range_;
     EdgeId rangeEdges_;
@@ -162,6 +153,58 @@ class PageRankTraceProducer final : public AccessProducer
 };
 
 } // namespace
+
+PageRankResult
+pageRank(const GraphView &graph, const PageRankOptions &options)
+{
+    const VertexId n = graph.numVertices();
+    PageRankResult result;
+    if (n == 0)
+        return result;
+
+    const double base = (1.0 - options.damping) / n;
+    std::vector<double> current(n, 1.0 / n);
+    std::vector<double> next(n, 0.0);
+    // Contribution of each vertex: score / out-degree.
+    std::vector<double> contribution(n, 0.0);
+
+    for (unsigned iteration = 0; iteration < options.maxIterations;
+         ++iteration) {
+        double dangling = 0.0;
+        for (VertexId v = 0; v < n; ++v) {
+            EdgeId out = graph.outDegree(v);
+            if (out == 0) {
+                dangling += current[v];
+                contribution[v] = 0.0;
+            } else {
+                contribution[v] =
+                    current[v] / static_cast<double>(out);
+            }
+        }
+        double dangling_share = options.damping * dangling / n;
+
+        // The Algorithm-1 pull gather: random reads of in-neighbour
+        // contributions.
+        for (VertexId v = 0; v < n; ++v) {
+            double sum = 0.0;
+            for (VertexId u : graph.inNeighbours(v))
+                sum += contribution[u];
+            next[v] = base + dangling_share + options.damping * sum;
+        }
+
+        double delta = 0.0;
+        for (VertexId v = 0; v < n; ++v)
+            delta += std::abs(next[v] - current[v]);
+        std::swap(current, next);
+        result.iterations = iteration + 1;
+        result.lastDelta = delta;
+        if (delta < options.tolerance)
+            break;
+    }
+
+    result.scores = std::move(current);
+    return result;
+}
 
 void
 PageRankKernel::prepare(const GraphView &graph)
@@ -193,8 +236,8 @@ PageRankKernel::run(const GraphView &graph)
 }
 
 ProducerSet
-PageRankKernel::makeProducers(const GraphView &graph,
-                              const TraceOptions &options)
+PageRankKernel::buildProducers(const GraphView &graph,
+                               const TraceOptions &options)
 {
     // The real run decides how many sweeps the trace replays.
     prepare(graph);

@@ -11,12 +11,43 @@
 #ifndef GRAL_KERNELS_PAGERANK_KERNEL_H
 #define GRAL_KERNELS_PAGERANK_KERNEL_H
 
-#include "algorithms/pagerank.h"
+#include <vector>
+
 #include "common/annotations.h"
 #include "kernels/kernel.h"
 
 namespace gral
 {
+
+/** PageRank parameters. */
+struct PageRankOptions
+{
+    /** Damping factor d. */
+    double damping = 0.85;
+    /** Maximum iterations. */
+    unsigned maxIterations = 100;
+    /** Stop when the L1 delta between iterations drops below this. */
+    double tolerance = 1e-9;
+};
+
+/** PageRank output. */
+struct PageRankResult
+{
+    /** Final scores, summing to ~1. */
+    std::vector<double> scores;
+    /** Iterations actually executed. */
+    unsigned iterations = 0;
+    /** L1 delta of the final iteration. */
+    double lastDelta = 0.0;
+};
+
+/**
+ * Power-iteration PageRank in the pull direction (random reads of
+ * in-neighbour contributions). Dangling-vertex mass is redistributed
+ * uniformly each iteration, so the scores stay a distribution.
+ */
+PageRankResult pageRank(const GraphView &graph,
+                        const PageRankOptions &options = {});
 
 /** Power-iteration PageRank (pull direction) as an analyzable kernel. */
 class PageRankKernel final : public Kernel
@@ -51,14 +82,14 @@ class PageRankKernel final : public Kernel
 
     KernelRunInfo run(const GraphView &graph) override;
 
-    ProducerSet makeProducers(const GraphView &graph,
-                              const TraceOptions &options) override;
-
     /** Solver result of the last prepared graph (runs it if needed). */
     const PageRankResult &result(const GraphView &graph)
         GRAL_LIFETIMEBOUND;
 
   private:
+    ProducerSet buildProducers(const GraphView &graph,
+                               const TraceOptions &options) override;
+
     /** Run the solver for @p graph unless already cached for it. */
     void prepare(const GraphView &graph);
 

@@ -23,8 +23,8 @@ SpmvKernel::run(const GraphView &graph)
 }
 
 ProducerSet
-SpmvKernel::makeProducers(const GraphView &graph,
-                          const TraceOptions &options)
+SpmvKernel::buildProducers(const GraphView &graph,
+                           const TraceOptions &options)
 {
     return makePullProducers(graph, options);
 }

@@ -31,8 +31,9 @@ class SpmvKernel final : public Kernel
 
     KernelRunInfo run(const GraphView &graph) override;
 
-    ProducerSet makeProducers(const GraphView &graph,
-                              const TraceOptions &options) override;
+  private:
+    ProducerSet buildProducers(const GraphView &graph,
+                               const TraceOptions &options) override;
 };
 
 } // namespace gral

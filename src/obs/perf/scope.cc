@@ -75,11 +75,11 @@ PerfScopeSite::publish(const PerfGroupReading &reading)
     }
 }
 
-ScopedPerfRegion::ScopedPerfRegion(PerfScopeSite &site) : site_(site)
+ScopedPerfRegion::ScopedPerfRegion(PerfScopeSite *site) : site_(site)
 {
-    if (!hwCountersEnabled())
+    if (site_ == nullptr)
         return;
-    TraceRecorder::global().record(site_.name(), 'B');
+    TraceRecorder::global().record(site_->name(), 'B');
     group_.emplace();
     group_->openForThisThread();
     group_->start();
@@ -90,8 +90,8 @@ ScopedPerfRegion::~ScopedPerfRegion()
     if (!group_.has_value())
         return;
     group_->stop();
-    site_.publish(group_->readCounters());
-    TraceRecorder::global().record(site_.name(), 'E');
+    site_->publish(group_->readCounters());
+    TraceRecorder::global().record(site_->name(), 'E');
 }
 
 } // namespace gral

@@ -24,7 +24,8 @@
  * count concurrently) and with GRAL_SPAN.
  *
  * Collection is off by default (setHwCountersEnabled); a disabled
- * scope is two relaxed atomic loads. With collection on but perf
+ * scope is one relaxed atomic load and registers no hw/ metrics, so
+ * a run without --hw-counters exports none. With collection on but perf
  * unreachable the scope publishes an explicit `unavailable` count —
  * it never zero-fills, so exports cannot mistake "no access" for
  * "no misses".
@@ -46,7 +47,8 @@ namespace gral
 /**
  * One GRAL_PERF_SCOPE call site: registry handles and interned
  * counter-track names, resolved once (function-local static in the
- * macro) so scope entry/exit never does a registry name lookup.
+ * macro, built the first time the scope runs with collection on) so
+ * scope entry/exit never does a registry name lookup.
  */
 class PerfScopeSite
 {
@@ -77,19 +79,20 @@ class PerfScopeSite
     Gauge &llcMissRate_;
 };
 
-/** RAII region: opens/starts the group on entry (when collection is
- *  enabled), stops/reads/publishes on exit. */
+/** RAII region: opens/starts the group on entry, stops/reads/
+ *  publishes on exit. A null @p site (collection disabled) makes the
+ *  region a no-op. */
 class ScopedPerfRegion
 {
   public:
-    explicit ScopedPerfRegion(PerfScopeSite &site);
+    explicit ScopedPerfRegion(PerfScopeSite *site);
     ~ScopedPerfRegion();
 
     ScopedPerfRegion(const ScopedPerfRegion &) = delete;
     ScopedPerfRegion &operator=(const ScopedPerfRegion &) = delete;
 
   private:
-    PerfScopeSite &site_;
+    PerfScopeSite *site_;
     /** Engaged only when collection was enabled at entry. */
     std::optional<PerfCounterGroup> group_;
 };
@@ -101,12 +104,17 @@ class ScopedPerfRegion
 
 /** Measure hardware counters over the enclosing block and publish
  *  them under hw/<name>/... (string literal @p name; at most one
- *  per source line). */
+ *  per source line). The site is a function-local static of the
+ *  lambda, so it is built thread-safely, once, and only when
+ *  collection is enabled. */
 #define GRAL_PERF_SCOPE(name)                                           \
-    static ::gral::PerfScopeSite GRAL_PERF_SCOPE_CONCAT(                \
-        gral_perf_site_, __LINE__){name};                               \
     ::gral::ScopedPerfRegion GRAL_PERF_SCOPE_CONCAT(gral_perf_,         \
                                                     __LINE__)(          \
-        GRAL_PERF_SCOPE_CONCAT(gral_perf_site_, __LINE__))
+        []() -> ::gral::PerfScopeSite * {                               \
+            if (!::gral::hwCountersEnabled())                           \
+                return nullptr;                                         \
+            static ::gral::PerfScopeSite site{name};                    \
+            return &site;                                               \
+        }())
 
 #endif // GRAL_OBS_PERF_SCOPE_H

@@ -1,9 +1,7 @@
 #include "spmv/trace_gen.h"
 
-#include <algorithm>
-
+#include "common/check.h"
 #include "graph/partition.h"
-#include "graph/storage/varint.h"
 
 namespace gral
 {
@@ -37,14 +35,6 @@ class SpmvTraceProducer final : public AccessProducer
           rangeEdges_(range_edges), kind_(kind), phase_(phase),
           v_(range.begin)
     {
-        if (adj_.isCompressed()) {
-            // Setup: size the decode scratch for the largest list this
-            // producer's range will touch, so fill() never allocates.
-            EdgeId max_degree = 0;
-            for (VertexId v = range.begin; v < range.end; ++v)
-                max_degree = std::max(max_degree, adj_.degree(v));
-            scratch_.reserve(max_degree);
-        }
     }
 
     std::size_t
@@ -84,7 +74,7 @@ class SpmvTraceProducer final : public AccessProducer
               case Stage::VertexBegin:
                 if (v_ >= range_.end)
                     return false;
-                neighbours_ = scratch_.neighbours(adj_, v_);
+                neighbours_ = adj_.neighbours(v_);
                 nbrIndex_ = 0;
                 edge_ = adj_.beginEdge(v_);
                 stage_ = kind_ == Kind::Push ? Stage::OwnData
@@ -155,7 +145,6 @@ class SpmvTraceProducer final : public AccessProducer
     }
 
     AdjacencyView adj_;
-    NeighbourScratch scratch_;
     TraceOptions options_;
     VertexRange range_;
     EdgeId rangeEdges_;
@@ -175,6 +164,9 @@ makeProducers(const GraphView &graph, Direction direction,
               SpmvTraceProducer::Kind kind,
               const TraceOptions &options)
 {
+    GRAL_CHECK(!graph.isCompressed())
+        << "makeProducers: decode compressed storage through "
+           "graph/storage first";
     const AdjacencyView &adj =
         direction == Direction::In ? graph.in() : graph.out();
     const AccessPhase phase = direction == Direction::In

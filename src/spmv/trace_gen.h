@@ -11,6 +11,9 @@
  * thin drains of the same producers (bit-identical output) for tests
  * and small-trace debugging.
  *
+ * Every producer walks raw neighbour spans: a compressed view fails a
+ * GRAL_CHECK (decode it with decodeGraph first).
+ *
  * Address-space model (element sizes per paper Section II-A):
  *  - offsets array: 8-byte elements, sequential accesses,
  *  - edges array:   4-byte elements, sequential, streamed once,

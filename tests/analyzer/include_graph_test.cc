@@ -103,9 +103,11 @@ TEST(IncludeGraph, AllowedIncludesMatchTheDag)
     EXPECT_TRUE(analysis->count("metrics"));
     EXPECT_TRUE(analysis->count("kernels"));
 
+    // BFS and PageRank live in kernels/ itself; the algorithms
+    // module they came from is gone, so the DAG has no entry for it.
+    EXPECT_EQ(allowedIncludes("algorithms"), nullptr);
     const std::set<std::string> *kernels = allowedIncludes("kernels");
     ASSERT_NE(kernels, nullptr);
-    EXPECT_TRUE(kernels->count("algorithms"));
     EXPECT_TRUE(kernels->count("spmv"));
     EXPECT_TRUE(kernels->count("cachesim"));
     EXPECT_FALSE(kernels->count("metrics"));

@@ -1,11 +1,10 @@
 /**
  * @file
- * Tests for text and binary graph serialization.
+ * Tests for text edge-list and permutation serialization.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -54,78 +53,6 @@ TEST(TextIo, MissingFileThrows)
 {
     EXPECT_THROW((void)readEdgeListTextFile("/nonexistent/file.txt"),
                  std::runtime_error);
-}
-
-TEST(BinaryIo, RoundTrip)
-{
-    Graph graph = generateErdosRenyi(300, 2000, 17);
-    std::stringstream buffer(std::ios::in | std::ios::out |
-                             std::ios::binary);
-    writeBinary(graph, buffer);
-    Graph back = readBinary(buffer);
-    EXPECT_EQ(back, graph);
-}
-
-TEST(BinaryIo, RoundTripEmptyGraph)
-{
-    std::vector<Edge> no_edges;
-    Graph graph(3, no_edges);
-    std::stringstream buffer(std::ios::in | std::ios::out |
-                             std::ios::binary);
-    writeBinary(graph, buffer);
-    Graph back = readBinary(buffer);
-    EXPECT_EQ(back, graph);
-}
-
-TEST(BinaryIo, BadMagicRejected)
-{
-    std::stringstream buffer(std::ios::in | std::ios::out |
-                             std::ios::binary);
-    buffer << "NOTAGRPH" << std::string(64, '\0');
-    EXPECT_THROW((void)readBinary(buffer), std::runtime_error);
-}
-
-TEST(BinaryIo, TruncatedStreamRejected)
-{
-    Graph graph = makePath(10);
-    std::stringstream buffer(std::ios::in | std::ios::out |
-                             std::ios::binary);
-    writeBinary(graph, buffer);
-    std::string bytes = buffer.str();
-    bytes.resize(bytes.size() / 2);
-    std::istringstream truncated(bytes);
-    EXPECT_THROW((void)readBinary(truncated), std::runtime_error);
-}
-
-TEST(BinaryIo, FileRoundTrip)
-{
-    Graph graph = makeGrid(5, 5);
-    std::string path = testing::TempDir() + "/gral_io_test.bin";
-    writeBinaryFile(graph, path);
-    Graph back = readBinaryFile(path);
-    EXPECT_EQ(back, graph);
-}
-
-TEST(BinaryIo, MissingFileThrows)
-{
-    EXPECT_THROW((void)readBinaryFile("/nonexistent/graph.bin"),
-                 std::runtime_error);
-}
-
-TEST(BinaryIo, OutOfRangeEdgeEndpointRejected)
-{
-    Graph graph = makePath(10);
-    std::stringstream buffer(std::ios::in | std::ios::out |
-                             std::ios::binary);
-    writeBinary(graph, buffer);
-    // The stream ends with the edge array; smash the final column
-    // index to a value far beyond the vertex count.
-    std::string bytes = buffer.str();
-    VertexId garbage = 1000000;
-    std::memcpy(bytes.data() + bytes.size() - sizeof(VertexId),
-                &garbage, sizeof(VertexId));
-    std::istringstream corrupted(bytes);
-    EXPECT_THROW((void)readBinary(corrupted), std::runtime_error);
 }
 
 TEST(PermutationIo, RoundTrip)

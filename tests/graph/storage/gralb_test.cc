@@ -114,8 +114,8 @@ TEST(Gralb, EmptyGraphRoundTrips)
 
 TEST(Gralb, BothDirectionsStoredNoRebuild)
 {
-    // Unlike .grf, the CSC is stored, not rebuilt: the in-direction
-    // spans come straight from the mapping and match the original.
+    // The CSC is stored, not rebuilt: the in-direction spans come
+    // straight from the mapping and match the original.
     Graph graph = makeCycle(32);
     std::string path = tempPath("zerocopy.gralb");
     writeGralbFile(graph, path);

@@ -14,6 +14,7 @@
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/storage/varint.h"
+#include "graph/validate.h"
 
 namespace gral
 {
@@ -228,34 +229,6 @@ TEST(CompressAdjacency, BytesPerEdgeDefinition)
     EXPECT_DOUBLE_EQ(compressedBytesPerEdge(compressed, 0), 0.0);
 }
 
-TEST(NeighbourScratch, DecodesCompressedView)
-{
-    Graph graph = generateErdosRenyi(150, 900, 5);
-    CompressedAdjacency compressed = compressAdjacency(graph.out());
-    AdjacencyView view = AdjacencyView::compressed(
-        graph.out().offsets(), compressed.byteIndex, compressed.blob);
-    ASSERT_TRUE(view.isCompressed());
-    NeighbourScratch scratch;
-    scratch.reserveFor(view);
-    for (VertexId v = 0; v < graph.numVertices(); ++v) {
-        std::span<const VertexId> got = scratch.neighbours(view, v);
-        std::span<const VertexId> expected =
-            graph.out().neighbours(v);
-        EXPECT_TRUE(std::equal(got.begin(), got.end(),
-                               expected.begin(), expected.end()))
-            << "vertex " << v;
-    }
-}
-
-TEST(NeighbourScratch, ForwardsRawSpanUncompressed)
-{
-    Graph graph = makePath(8);
-    NeighbourScratch scratch; // no reserve needed uncompressed
-    AdjacencyView view = graph.out();
-    std::span<const VertexId> got = scratch.neighbours(view, 3);
-    EXPECT_EQ(got.data(), graph.out().neighbours(3).data());
-}
-
 TEST(DecodeGraph, RoundTripsCompressedBothDirections)
 {
     Graph graph = generateErdosRenyi(120, 700, 23);
@@ -268,6 +241,27 @@ TEST(DecodeGraph, RoundTripsCompressedBothDirections)
                                   in_c.byteIndex, in_c.blob));
     Graph decoded = decodeGraph(compressed_view);
     EXPECT_EQ(decoded, graph);
+}
+
+TEST(DecodeGraph, CorruptListNamesDirectionAndVertex)
+{
+    Graph graph = makePath(6);
+    CompressedAdjacency out_c = compressAdjacency(graph.out());
+    CompressedAdjacency in_c = compressAdjacency(graph.in());
+    // Vertex 2's first in-neighbour byte loses its varint terminator.
+    in_c.blob[in_c.byteIndex[2]] |= 0x80;
+    GraphView corrupt(
+        AdjacencyView::compressed(graph.out().offsets(),
+                                  out_c.byteIndex, out_c.blob),
+        AdjacencyView::compressed(graph.in().offsets(),
+                                  in_c.byteIndex, in_c.blob));
+    try {
+        (void)decodeGraph(corrupt);
+        FAIL() << "corrupt blob decoded";
+    } catch (const ValidationError &error) {
+        EXPECT_STREQ(error.what(), "in-adjacency: corrupt compressed "
+                                   "neighbour list at vertex 2");
+    }
 }
 
 TEST(DecodeGraph, PassesThroughUncompressed)

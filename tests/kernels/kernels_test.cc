@@ -7,7 +7,7 @@
  * implementation: spmv producers must equal makePullProducers(),
  * PageRank scores must be permutation-equivariant, BFS frontiers must
  * agree across push-only / pull-only / direction-optimizing modes,
- * and CC labels must match labelPropagation().
+ * and CC labels must match a BFS component labelling.
  */
 
 #include <gtest/gtest.h>
@@ -18,12 +18,13 @@
 #include <string>
 #include <vector>
 
-#include "algorithms/traversal.h"
 #include "cachesim/access_stream.h"
-#include "graph/connected_components.h"
+#include "common/check.h"
+#include "graph/builder.h"
 #include "graph/degree.h"
 #include "graph/generators.h"
 #include "graph/permutation.h"
+#include "graph/storage/varint.h"
 #include "kernels/bfs_kernel.h"
 #include "kernels/cc_kernel.h"
 #include "kernels/kernel.h"
@@ -114,6 +115,32 @@ TEST(KernelRegistry, RelabelingPlans)
     KernelPtr bfs_kernel = makeKernel("bfs");
     EXPECT_EQ(bfs_kernel->plan().relabeling,
               Relabeling::kAutoRelabel);
+}
+
+TEST(KernelRegistry, CompressedViewFailsProducerCheck)
+{
+    // Producers walk raw neighbour spans; a compressed view must stop
+    // at the one precondition check, not read past the empty edges.
+    Graph graph = testGraph();
+    CompressedAdjacency out = compressAdjacency(graph.out());
+    CompressedAdjacency in = compressAdjacency(graph.in());
+    GraphView compressed(
+        AdjacencyView::compressed(graph.out().offsets(), out.byteIndex,
+                                  out.blob),
+        AdjacencyView::compressed(graph.in().offsets(), in.byteIndex,
+                                  in.blob));
+    for (const std::string &name : kernelNames()) {
+        KernelPtr kernel = makeKernel(name);
+        try {
+            (void)kernel->makeProducers(compressed, traceOptions());
+            ADD_FAILURE() << name << ": no CheckError";
+        } catch (const CheckError &error) {
+            EXPECT_NE(std::string(error.what())
+                          .find("decode compressed storage"),
+                      std::string::npos)
+                << name << ": " << error.what();
+        }
+    }
 }
 
 // ---------------------------------------------- spmv back-compat
@@ -302,28 +329,84 @@ TEST(BfsKernel, TracePhasesFollowRoundDirection)
 
 // ------------------------------------------------------------- cc
 
-TEST(CcKernel, LabelsMatchLabelPropagation)
+/** Undirected BFS component labels. Roots are taken in ascending ID
+ *  order, so each label is the smallest vertex ID of its component:
+ *  the canonical labelling CcKernel's min-label fixpoint reaches. */
+std::vector<VertexId>
+bfsComponentLabels(const GraphView &graph)
 {
-    Graph graph = testGraph();
+    std::vector<VertexId> label(graph.numVertices(), kInvalidVertex);
+    std::vector<VertexId> queue;
+    for (VertexId root = 0; root < graph.numVertices(); ++root) {
+        if (label[root] != kInvalidVertex)
+            continue;
+        label[root] = root;
+        queue.assign(1, root);
+        for (std::size_t head = 0; head < queue.size(); ++head) {
+            VertexId v = queue[head];
+            for (auto list : {graph.outNeighbours(v), graph.inNeighbours(v)})
+                for (VertexId u : list)
+                    if (label[u] == kInvalidVertex) {
+                        label[u] = root;
+                        queue.push_back(u);
+                    }
+        }
+    }
+    return label;
+}
+
+/** CcKernel's labels on `graph` equal the BFS labelling outright,
+ *  and its component count is the number of BFS roots. */
+void
+expectLabelsMatchBfsComponents(const Graph &graph)
+{
     CcKernel kernel;
-    KernelRunInfo info = kernel.run(graph);
+    kernel.run(graph);
     const std::vector<VertexId> &labels = kernel.labels(graph);
+    std::vector<VertexId> reference = bfsComponentLabels(graph);
+    ASSERT_EQ(labels.size(), reference.size());
+    VertexId roots = 0;
+    for (VertexId v = 0; v < graph.numVertices(); ++v) {
+        ASSERT_EQ(labels[v], reference[v]) << v;
+        roots += reference[v] == v ? 1 : 0;
+    }
+    EXPECT_EQ(kernel.numComponents(graph), roots);
+}
 
-    LabelPropagationResult reference = labelPropagation(graph);
-    EXPECT_EQ(info.iterations, reference.iterations);
-    EXPECT_EQ(kernel.numComponents(graph), reference.numComponents);
-    ASSERT_EQ(labels.size(), reference.label.size());
+TEST(CcKernel, LabelsMatchBfsComponents)
+{
+    // A directed RMAT graph: edge direction must not split a
+    // component.
+    expectLabelsMatchBfsComponents(testGraph());
+}
 
-    // Cross-validate the component count against the BFS-based
-    // implementation in graph/.
-    EXPECT_EQ(kernel.numComponents(graph),
-              connectedComponents(graph).numComponents);
+TEST(CcKernel, SparseGraphLabelsMatchBfsComponents)
+{
+    // A sparse ER graph with many components.
+    expectLabelsMatchBfsComponents(generateErdosRenyi(400, 500, 6));
+}
 
-    // Same partition: two vertices share a kernel label iff they
-    // share a reference label. Both labelings are canonical (min
-    // vertex ID in the component), so they are equal outright.
-    for (VertexId v = 0; v < graph.numVertices(); ++v)
-        ASSERT_EQ(labels[v], reference.label[v]) << v;
+TEST(CcKernel, LabelsAreComponentMinima)
+{
+    std::vector<Edge> edges = {{5, 3}, {3, 5}, {1, 2}, {2, 1}};
+    BuildOptions options;
+    options.removeZeroDegree = false;
+    Graph graph = buildGraph(6, edges, options);
+    CcKernel kernel;
+    const std::vector<VertexId> &labels = kernel.labels(graph);
+    EXPECT_EQ(labels[5], 3u);
+    EXPECT_EQ(labels[3], 3u);
+    EXPECT_EQ(labels[1], 1u);
+    EXPECT_EQ(labels[2], 1u);
+    EXPECT_EQ(labels[0], 0u);
+    EXPECT_EQ(kernel.numComponents(graph), 4u); // {3,5}, {1,2}, {0}, {4}
+}
+
+TEST(CcKernel, IterationCapRespected)
+{
+    Graph graph = makePath(1000); // worst case: long chain
+    CcKernel kernel(3);
+    EXPECT_LE(kernel.run(graph).iterations, 3u);
 }
 
 } // namespace

@@ -230,6 +230,22 @@ TEST(PerfStub, ScopeWithCollectionDisabledPublishesNothing)
     EXPECT_EQ(unavailable.value(), unavailable_before);
 }
 
+TEST(PerfStub, ScopeWithCollectionDisabledRegistersNoMetrics)
+{
+    // A run without --hw-counters must export no hw/ names at all,
+    // not zero-valued counters and gauges for every scope it passed.
+    setHwCountersEnabled(false);
+    {
+        GRAL_PERF_SCOPE("test/never_enabled_scope");
+    }
+    MetricsSnapshot snapshot = MetricsRegistry::global().snapshot();
+    const std::string prefix = "hw/test/never_enabled_scope/";
+    for (const auto &[name, value] : snapshot.counters)
+        EXPECT_NE(name.rfind(prefix, 0), 0u) << name;
+    for (const auto &[name, value] : snapshot.gauges)
+        EXPECT_NE(name.rfind(prefix, 0), 0u) << name;
+}
+
 TEST(PerfStub, ScopeOnUnavailableHostCountsUnavailable)
 {
     ForcedUnavailable forced;

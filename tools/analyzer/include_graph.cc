@@ -111,15 +111,13 @@ allowedIncludes(const std::string &module)
           "common", "obs", "obs/perf"}},
         {"metrics",
          {"metrics", "cachesim", "graph", "common", "obs"}},
-        {"algorithms",
-         {"algorithms", "spmv", "cachesim", "graph", "common", "obs"}},
         {"kernels",
-         {"kernels", "algorithms", "spmv", "cachesim", "graph/storage",
-          "graph", "common", "obs"}},
+         {"kernels", "spmv", "cachesim", "graph/storage", "graph",
+          "common", "obs"}},
         {"analysis",
-         {"analysis", "kernels", "algorithms", "metrics", "reorder",
-          "spmv", "cachesim", "graph/storage", "graph", "exec",
-          "common", "obs", "obs/perf"}},
+         {"analysis", "kernels", "metrics", "reorder", "spmv",
+          "cachesim", "graph/storage", "graph", "exec", "common", "obs",
+          "obs/perf"}},
     };
     auto it = kDag.find(module);
     return it == kDag.end() ? nullptr : &it->second;

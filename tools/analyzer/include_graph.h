@@ -15,7 +15,7 @@
  * (DESIGN.md "Static analysis layer"):
  *   - layering: each src/ module may only include modules at or below
  *     it in the DAG `common -> graph -> {reorder, cachesim} -> spmv
- *     -> {metrics, algorithms} -> analysis`, with `obs` includable by
+ *     -> {metrics, kernels} -> analysis`, with `obs` includable by
  *     everyone and bench/tools/tests never includable from src/;
  *   - include-cycle: the file-level graph must be a DAG.
  */

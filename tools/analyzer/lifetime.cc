@@ -796,8 +796,7 @@ isOwningTypeName(std::string_view typeName)
 {
     return typeName == "Graph" || typeName == "MappedGraph" ||
            typeName == "Adjacency" ||
-           typeName == "CompressedAdjacency" ||
-           typeName == "NeighbourScratch" || typeName == "vector" ||
+           typeName == "CompressedAdjacency" || typeName == "vector" ||
            typeName == "string";
 }
 

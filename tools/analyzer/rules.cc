@@ -523,7 +523,7 @@ ruleCatalogue()
         {"layering",
          "src/ modules may only include modules at or below them in "
          "the DAG common -> graph -> {reorder, cachesim} -> spmv -> "
-         "{metrics, algorithms} -> analysis (obs usable by all; "
+         "{metrics, kernels} -> analysis (obs usable by all; "
          "obs/perf above obs, granted to spmv and analysis only; "
          "bench/tools/tests never from src/)"},
         {"raw-assert",

@@ -5,8 +5,8 @@
  * Subcommands:
  *   generate  <type> <vertices> <out>            synthesize a graph
  *   convert   [--compressed] [--graph-format=F] <in> <out>
- *                                                convert between text,
- *                                                .grf, and .gralb
+ *                                                convert between text
+ *                                                and .gralb
  *   info      <graph>                            basic statistics
  *   reorder   <graph> <RA|perm.txt> <out>        apply an RA or a
  *                                                permutation file
@@ -25,10 +25,10 @@
  *   --log-level=LEVEL         trace|debug|info|warn|error|off
  *
  * Graph files ending in .gralb are the memory-mapped binary CSR
- * format (O(1) load — build once with `gral convert`); .grf is the
- * legacy binary format (CSC rebuilt on load); anything else is parsed
- * as a text edge list ("src dst" per line), streamed in bounded
- * chunks and assembled by the parallel builder.
+ * format (O(1) load — build once with `gral convert`); anything else
+ * is parsed as a text edge list ("src dst" per line), streamed in
+ * bounded chunks and assembled by the parallel builder. The retired
+ * .grf binary format is refused, for reading and for writing.
  */
 
 #include <cstring>
@@ -73,15 +73,19 @@ hasSuffix(const std::string &path, const std::string &suffix)
 }
 
 bool
-isBinaryPath(const std::string &path)
-{
-    return hasSuffix(path, ".grf");
-}
-
-bool
 isGralbPath(const std::string &path)
 {
     return hasSuffix(path, ".gralb");
+}
+
+/** Refuse the retired .grf format instead of reading its bytes as
+ *  text or writing text under its name. */
+void
+rejectGrfPath(const std::string &path)
+{
+    if (hasSuffix(path, ".grf"))
+        throw ValidationError(path + ": the .grf format is no longer "
+                              "supported; use .gralb");
 }
 
 /** Streaming-parse chunk size: ~24 MB of parse-side state. */
@@ -89,9 +93,9 @@ constexpr std::size_t kTextChunkEdges = std::size_t{1} << 21;
 
 /**
  * A loaded graph plus whatever owns its storage: an owned Graph for
- * text/.grf inputs, the live mapping for .gralb. Commands work on
- * `view`; the holder keeps the backing alive for the command's
- * duration.
+ * text and compressed .gralb inputs, the live mapping for plain
+ * .gralb. Commands work on `view`; the holder keeps the backing alive
+ * for the command's duration.
  */
 struct LoadedGraph
 {
@@ -145,6 +149,7 @@ validateCompressedIndex(const AdjacencyView &adjacency,
 LoadedGraph
 loadView(const std::string &path)
 {
+    rejectGrfPath(path);
     LoadedGraph loaded;
     if (isGralbPath(path)) {
         loaded.mapped = MappedGraph::open(path);
@@ -164,7 +169,7 @@ loadView(const std::string &path)
                                     path + " (in-adjacency)");
             try {
                 loaded.owned = decodeGraph(mapped);
-            } catch (const CheckError &error) {
+            } catch (const ValidationError &error) {
                 throw ValidationError(path + ": " + error.what());
             }
             loaded.view = loaded.owned;
@@ -174,18 +179,14 @@ loadView(const std::string &path)
         validateGraph(loaded.view, path);
         return loaded;
     }
-    if (isBinaryPath(path)) {
-        loaded.owned = readBinaryFile(path);
-    } else {
-        // Stream the text file in bounded chunks (no per-line stream
-        // churn), then assemble CSR+CSC on the work-stealing pool.
-        std::vector<Edge> edges;
-        readEdgeListTextChunkedFile(
-            path, kTextChunkEdges, [&](std::span<const Edge> chunk) {
-                edges.insert(edges.end(), chunk.begin(), chunk.end());
-            });
-        loaded.owned = buildGraphParallel(0, edges);
-    }
+    // Stream the text file in bounded chunks (no per-line stream
+    // churn), then assemble CSR+CSC on the work-stealing pool.
+    std::vector<Edge> edges;
+    readEdgeListTextChunkedFile(
+        path, kTextChunkEdges, [&](std::span<const Edge> chunk) {
+            edges.insert(edges.end(), chunk.begin(), chunk.end());
+        });
+    loaded.owned = buildGraphParallel(0, edges);
     // Files are untrusted: reject structural corruption here, with
     // the file name attached, instead of misbehaving downstream.
     validateGraph(loaded.owned, path);
@@ -210,20 +211,22 @@ saveGralb(const GraphView &graph, const std::string &path,
 }
 
 void
-save(const GraphView &graph, const std::string &path)
+saveText(const GraphView &graph, const std::string &path)
 {
-    if (isGralbPath(path)) {
-        saveGralb(graph, path, /*compressed=*/false);
-        return;
-    }
-    if (isBinaryPath(path)) {
-        writeBinaryFile(graph, path);
-        return;
-    }
     std::ofstream out(path);
     if (!out)
         throw std::runtime_error("cannot open " + path);
     writeEdgeListText(graph, out);
+}
+
+void
+save(const GraphView &graph, const std::string &path)
+{
+    rejectGrfPath(path);
+    if (isGralbPath(path))
+        saveGralb(graph, path, /*compressed=*/false);
+    else
+        saveText(graph, path);
 }
 
 int
@@ -285,7 +288,7 @@ cmdConvert(int argc, char **argv)
     }
     if (positional.size() < 2) {
         std::cerr << "usage: gral convert [--compressed] "
-                     "[--graph-format=text|grf|gralb] <in> <out>\n"
+                     "[--graph-format=text|gralb] <in> <out>\n"
                      "default format follows the output extension; "
                      "--compressed needs a .gralb output (or "
                      "--graph-format=gralb)\n";
@@ -293,30 +296,22 @@ cmdConvert(int argc, char **argv)
     }
     const std::string in_path = positional[0];
     const std::string out_path = positional[1];
-    if (format.empty()) {
-        format = isGralbPath(out_path) ? "gralb"
-                 : isBinaryPath(out_path) ? "grf"
-                                          : "text";
-    }
-    if (format != "text" && format != "grf" && format != "gralb")
+    rejectGrfPath(out_path);
+    if (format.empty())
+        format = isGralbPath(out_path) ? "gralb" : "text";
+    if (format != "text" && format != "gralb")
         throw ValidationError("unknown --graph-format '" + format +
-                              "' (expected text, grf, or gralb)");
+                              "' (expected text or gralb)");
     if (compressed && format != "gralb")
         throw ValidationError(
             "--compressed requires the gralb format (got " + format +
             " from the output extension)");
 
     LoadedGraph loaded = loadView(in_path);
-    if (format == "gralb") {
+    if (format == "gralb")
         saveGralb(loaded.view, out_path, compressed);
-    } else if (format == "grf") {
-        writeBinaryFile(loaded.view, out_path);
-    } else {
-        std::ofstream out(out_path);
-        if (!out)
-            throw std::runtime_error("cannot open " + out_path);
-        writeEdgeListText(loaded.view, out);
-    }
+    else
+        saveText(loaded.view, out_path);
     std::cout << "converted " << in_path << " -> " << out_path
               << " (" << format << ")\n";
     return 0;
