@@ -17,11 +17,11 @@
 
 #include "bench/common.h"
 #include "graph/degree.h"
+#include "kernels/spmv_kernel.h"
 #include "metrics/miss_rate.h"
 #include "reorder/gorder.h"
 #include "reorder/rabbit_order.h"
 #include "reorder/slashburn.h"
-#include "spmv/trace_gen.h"
 
 using namespace gral;
 

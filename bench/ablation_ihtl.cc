@@ -14,9 +14,9 @@
 
 #include "bench/common.h"
 #include "graph/degree.h"
+#include "kernels/ihtl.h"
 #include "metrics/ecs.h"
 #include "metrics/miss_rate.h"
-#include "spmv/ihtl.h"
 
 using namespace gral;
 

@@ -17,8 +17,8 @@
 #include "cachesim/hierarchy.h"
 #include "cachesim/interleave.h"
 #include "graph/degree.h"
+#include "kernels/spmv_kernel.h"
 #include "metrics/miss_rate.h"
-#include "spmv/trace_gen.h"
 
 using namespace gral;
 

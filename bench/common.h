@@ -35,10 +35,10 @@
 #include "cachesim/tlb.h"
 #include "graph/degree.h"
 #include "kernels/kernel.h"
+#include "kernels/spmv_kernel.h"
 #include "metrics/ecs.h"
 #include "metrics/miss_rate.h"
 #include "obs/export.h"
-#include "spmv/trace_gen.h"
 
 namespace gral::bench
 {

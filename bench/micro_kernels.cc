@@ -1,7 +1,7 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the library's hot kernels:
- * SpMV traversal, cache-model access, trace generation, AID, and the
+ * SpMV traversal, cache-model access, trace production, AID, and the
  * reordering algorithms themselves.
  */
 
@@ -12,10 +12,9 @@
 #include "cachesim/interleave.h"
 #include "graph/degree.h"
 #include "graph/generators.h"
+#include "kernels/spmv_kernel.h"
 #include "metrics/aid.h"
 #include "reorder/registry.h"
-#include "spmv/spmv.h"
-#include "spmv/trace_gen.h"
 
 namespace
 {
@@ -46,22 +45,6 @@ BM_SpmvPull(benchmark::State &state)
 BENCHMARK(BM_SpmvPull);
 
 void
-BM_SpmvPush(benchmark::State &state)
-{
-    const Graph &graph = benchGraph();
-    std::vector<double> src(graph.numVertices(), 1.0);
-    std::vector<double> dst(graph.numVertices(), 0.0);
-    for (auto _ : state) {
-        spmvPush(graph, src, dst);
-        benchmark::DoNotOptimize(dst.data());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(graph.numEdges()));
-}
-BENCHMARK(BM_SpmvPush);
-
-void
 BM_CacheAccess(benchmark::State &state)
 {
     Cache cache(paperL3Config());
@@ -82,9 +65,14 @@ BM_TraceGeneration(benchmark::State &state)
 {
     const Graph &graph = benchGraph();
     TraceOptions options;
+    std::vector<MemoryAccess> buffer(1024);
     for (auto _ : state) {
-        auto traces = generatePullTrace(graph, options);
-        benchmark::DoNotOptimize(traces.data());
+        // Drain every producer through one chunk-sized buffer, the
+        // way the scheduler polls them.
+        for (const auto &producer : makePullProducers(graph, options))
+            while (producer->fill(buffer) > 0)
+                benchmark::DoNotOptimize(buffer.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *

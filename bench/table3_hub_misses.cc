@@ -15,7 +15,7 @@
 #include <algorithm>
 
 #include "graph/degree.h"
-#include "spmv/trace_gen.h"
+#include "kernels/spmv_kernel.h"
 
 using namespace gral;
 

@@ -14,9 +14,9 @@
 
 #include "bench/common.h"
 #include "graph/degree.h"
+#include "kernels/parallel.h"
+#include "kernels/spmv_kernel.h"
 #include "metrics/miss_rate.h"
-#include "spmv/parallel.h"
-#include "spmv/trace_gen.h"
 
 using namespace gral;
 

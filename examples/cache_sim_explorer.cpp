@@ -17,10 +17,10 @@
 #include "analysis/report.h"
 #include "graph/degree.h"
 #include "graph/generators.h"
+#include "kernels/spmv_kernel.h"
 #include "metrics/ecs.h"
 #include "metrics/miss_rate.h"
 #include "metrics/reuse_distance.h"
-#include "spmv/trace_gen.h"
 
 using namespace gral;
 

@@ -16,12 +16,12 @@
 #include "analysis/report.h"
 #include "graph/degree.h"
 #include "graph/generators.h"
+#include "kernels/spmv_kernel.h"
 #include "metrics/aid.h"
 #include "metrics/miss_rate.h"
+#include "obs/timer.h"
 #include "reorder/order_util.h"
 #include "reorder/registry.h"
-#include "obs/timer.h"
-#include "spmv/trace_gen.h"
 
 using namespace gral;
 

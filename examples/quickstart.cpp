@@ -19,11 +19,10 @@
 #include "graph/degree.h"
 #include "graph/generators.h"
 #include "graph/permutation.h"
+#include "kernels/spmv_kernel.h"
 #include "metrics/aid.h"
 #include "metrics/miss_rate.h"
 #include "reorder/registry.h"
-#include "spmv/spmv.h"
-#include "spmv/trace_gen.h"
 
 using namespace gral;
 
@@ -79,8 +78,7 @@ main()
               << "% -> " << 100.0 * missRate(reordered) << "%\n";
 
     // The traversal the metrics describe:
-    std::vector<double> ranks = spmvIterations(reordered, 5);
-    std::cout << "5 SpMV iterations done; rank[0]=" << ranks[0]
-              << "\n";
+    KernelRunInfo run = SpmvKernel().run(reordered);
+    std::cout << "SpMV sweep done; checksum=" << run.checksum << "\n";
     return 0;
 }

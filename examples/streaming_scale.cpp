@@ -19,8 +19,8 @@
 #include "analysis/report.h"
 #include "graph/degree.h"
 #include "graph/generators.h"
+#include "kernels/spmv_kernel.h"
 #include "metrics/miss_rate.h"
-#include "spmv/trace_gen.h"
 
 using namespace gral;
 

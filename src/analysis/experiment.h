@@ -19,11 +19,11 @@
 
 #include "graph/view.h"
 #include "kernels/kernel.h"
+#include "kernels/parallel.h"
+#include "kernels/spmv_kernel.h"
 #include "metrics/miss_rate.h"
 #include "obs/perf/counters.h"
 #include "reorder/reorderer.h"
-#include "spmv/parallel.h"
-#include "spmv/trace_gen.h"
 
 namespace gral
 {

@@ -1,53 +1,7 @@
 #include "cachesim/access_stream.h"
 
-#include <algorithm>
-
 namespace gral
 {
-
-std::size_t
-VectorProducer::fill(std::span<MemoryAccess> out)
-{
-    std::size_t n =
-        std::min(out.size(), trace_.size() - cursor_);
-    std::copy_n(trace_.begin() + static_cast<std::ptrdiff_t>(cursor_),
-                n, out.begin());
-    cursor_ += n;
-    return n;
-}
-
-ProducerSet
-producersFromTraces(std::span<const ThreadTrace> traces)
-{
-    ProducerSet producers;
-    producers.reserve(traces.size());
-    for (const ThreadTrace &trace : traces)
-        // One-time producer setup, not a replay path.
-        // gral-analyzer: off(hot-path-alloc)
-        producers.push_back(std::make_unique<VectorProducer>(trace));
-    return producers;
-}
-
-ThreadTrace
-drainProducer(AccessProducer &producer)
-{
-    ThreadTrace trace;
-    // One virtual call per drained producer — not per access — even
-    // when callers drain a whole producer set in a loop.
-    // gral-analyzer: off-next-line(hot-path-virtual)
-    trace.reserve(producer.sizeHint());
-    MemoryAccess buffer[1024];
-    for (;;) {
-        // Batched: one virtual call fills up to 1024 accesses, so
-        // the dispatch cost is amortized across the whole buffer.
-        // gral-analyzer: off-next-line(hot-path-virtual)
-        std::size_t n = producer.fill(buffer);
-        if (n == 0)
-            break;
-        trace.insert(trace.end(), buffer, buffer + n);
-    }
-    return trace;
-}
 
 std::size_t
 producerSizeHint(const ProducerSet &producers)

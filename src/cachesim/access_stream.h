@@ -32,9 +32,9 @@ namespace gral
 
 /**
  * Consumer end of the streaming pipeline: anything that observes a
- * merged access stream (cache replay, ECS scanning, collection into a
- * vector) implements this interface. Decorator sinks wrap another
- * sink to interpose per-access work (see PeriodicScanSink).
+ * merged access stream (cache replay, ECS scanning) implements this
+ * interface. Decorator sinks wrap another sink to interpose
+ * per-access work (see PeriodicScanSink).
  */
 class AccessSink
 {
@@ -75,50 +75,6 @@ class AccessProducer
 /** Owning set of per-thread producers (one per simulated thread). */
 using ProducerSet = std::vector<std::unique_ptr<AccessProducer>>;
 
-/** Producer-from-vector adapter: streams a materialized ThreadTrace.
- *  The underlying storage must outlive the producer. */
-class VectorProducer final : public AccessProducer
-{
-  public:
-    explicit VectorProducer(std::span<const MemoryAccess> trace)
-        : trace_(trace)
-    {
-    }
-
-    std::size_t fill(std::span<MemoryAccess> out) override;
-
-    std::size_t sizeHint() const override { return trace_.size(); }
-
-  private:
-    std::span<const MemoryAccess> trace_;
-    std::size_t cursor_ = 0;
-};
-
-/** Sink-to-vector adapter: collects the merged stream (tests and
- *  small-trace debugging; resident memory is O(stream) again). */
-class VectorSink final : public AccessSink
-{
-  public:
-    explicit VectorSink(std::vector<MemoryAccess> &out) : out_(out) {}
-
-    void
-    consume(const MemoryAccess &access) override
-    {
-        out_.push_back(access);
-    }
-
-  private:
-    std::vector<MemoryAccess> &out_;
-};
-
-/** Wrap materialized per-thread traces as a ProducerSet. The trace
- *  storage must outlive the producers. */
-ProducerSet producersFromTraces(std::span<const ThreadTrace> traces);
-
-/** Run one producer to exhaustion into a vector (adapter for code
- *  that still wants a materialized per-thread log). */
-ThreadTrace drainProducer(AccessProducer &producer);
-
 /** Sum of the producers' size hints. */
 std::size_t producerSizeHint(const ProducerSet &producers);
 
@@ -130,8 +86,9 @@ std::size_t producerSizeHint(const ProducerSet &producers);
  * accesses into an internal buffer and forwarding them downstream,
  * "dividing execution duration between threads where for each
  * interval a thread simulates all logged accesses by parallel threads
- * in a round robin way" (Section V-B). Produces the exact access
- * order TraceInterleaver defines for materialized traces.
+ * in a round robin way" (Section V-B). Each turn polls one producer
+ * until it has delivered chunkSize() accesses or returned 0; a
+ * producer that returned 0 leaves the rotation.
  *
  * Resident memory is one chunk buffer plus the producers' O(1)
  * cursors: O(numProducers + chunkSize), independent of stream length.

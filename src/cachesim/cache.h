@@ -122,7 +122,7 @@ struct CacheStats
  *
  * Not thread-safe: the paper serializes parallel traces through one
  * model via round-robin interleaving (Section V-B), which is what the
- * TraceInterleaver provides.
+ * InterleavingScheduler provides.
  */
 class Cache
 {

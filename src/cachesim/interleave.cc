@@ -1,30 +1,7 @@
 #include "cachesim/interleave.h"
 
-#include <stdexcept>
-
 namespace gral
 {
-
-TraceInterleaver::TraceInterleaver(std::span<const ThreadTrace> traces,
-                                   std::size_t chunk_size)
-    : traces_(traces), chunkSize_(chunk_size), total_(0)
-{
-    if (chunk_size == 0)
-        throw std::invalid_argument("TraceInterleaver: zero chunk");
-    for (const ThreadTrace &trace : traces_)
-        total_ += trace.size();
-}
-
-std::vector<MemoryAccess>
-TraceInterleaver::materialize() const
-{
-    std::vector<MemoryAccess> merged;
-    merged.reserve(total_);
-    forEach([&](const MemoryAccess &access) {
-        merged.push_back(access);
-    });
-    return merged;
-}
 
 ReplayResult
 replayStreamSimple(InterleavingScheduler &scheduler, Cache &cache,
@@ -32,16 +9,6 @@ replayStreamSimple(InterleavingScheduler &scheduler, Cache &cache,
 {
     return replayStream(
         scheduler, cache, tlb,
-        [](const MemoryAccess &, const AccessOutcome &) {}, 0,
-        [](const Cache &) {});
-}
-
-ReplayResult
-replaySimple(std::span<const ThreadTrace> traces, std::size_t chunk_size,
-             Cache &cache, Tlb *tlb)
-{
-    return replay(
-        traces, chunk_size, cache, tlb,
         [](const MemoryAccess &, const AccessOutcome &) {}, 0,
         [](const Cache &) {});
 }

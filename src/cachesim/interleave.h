@@ -1,6 +1,6 @@
 /**
  * @file
- * Trace replay through the cache model, streaming or materialized.
+ * Streamed trace replay through the cache model.
  *
  * The paper performs parallel simulation in two phases (Section V-B):
  * "(1) logging memory accesses during graph processing by each of the
@@ -11,9 +11,7 @@
  * Phase 2 is implemented by InterleavingScheduler (access_stream.h),
  * which pulls fixed-size chunks from resumable per-thread producers.
  * This header provides the replay sinks that drive the cache/TLB
- * models from that stream, plus TraceInterleaver, a thin adapter that
- * replays *materialized* per-thread logs with identical semantics
- * (tests and small-trace debugging).
+ * models from that stream.
  */
 
 #ifndef GRAL_CACHESIM_INTERLEAVE_H
@@ -21,9 +19,7 @@
 
 #include <cstddef>
 #include <functional>
-#include <span>
 #include <utility>
-#include <vector>
 
 #include "cachesim/access_stream.h"
 #include "cachesim/cache.h"
@@ -33,43 +29,6 @@
 namespace gral
 {
 
-/**
- * Merges per-thread traces round-robin in chunks of @p chunk_size
- * accesses. Adapter over InterleavingScheduler for materialized
- * traces; reusable (each visit builds fresh vector producers).
- */
-class TraceInterleaver
-{
-  public:
-    /** @pre chunk_size > 0. */
-    TraceInterleaver(std::span<const ThreadTrace> traces,
-                     std::size_t chunk_size);
-
-    /** Total number of accesses across all threads. */
-    std::size_t totalAccesses() const { return total_; }
-
-    /**
-     * Visit every access in interleaved order.
-     * @param visit callable taking (const MemoryAccess &).
-     */
-    template <typename Visitor>
-    void
-    forEach(Visitor &&visit) const
-    {
-        InterleavingScheduler scheduler(producersFromTraces(traces_),
-                                        chunkSize_);
-        scheduler.forEach(std::forward<Visitor>(visit));
-    }
-
-    /** Materialize the interleaved order (tests / small traces). */
-    std::vector<MemoryAccess> materialize() const;
-
-  private:
-    std::span<const ThreadTrace> traces_;
-    std::size_t chunkSize_;
-    std::size_t total_;
-};
-
 /** Outcome of one replayed access. */
 struct AccessOutcome
 {
@@ -77,16 +36,14 @@ struct AccessOutcome
     bool tlbHit = true;
 };
 
-/** Counters accumulated by replay(). */
+/** Counters accumulated by replayStream(). */
 struct ReplayResult
 {
     CacheStats cache;
     TlbStats tlb;
     std::uint64_t accessCount = 0;
     /** Peak MemoryAccess records resident at once during the replay:
-     *  just the scheduler's chunk buffer on the streaming path, the
-     *  whole materialized log plus that buffer on the vector path —
-     *  the memory the streaming pipeline exists to avoid. */
+     *  the scheduler's chunk buffer, never the whole trace. */
     std::uint64_t peakResidentAccesses = 0;
 
     /** peakResidentAccesses in bytes. */
@@ -209,8 +166,8 @@ class HookedReplaySink final : public CacheReplaySink
 /**
  * Replay a streamed interleaving through a cache (and optional TLB).
  *
- * The streaming analogue of replay(): resident trace memory is the
- * scheduler's chunk buffer, O(numProducers + chunkSize), not O(E).
+ * Resident trace memory is the scheduler's chunk buffer,
+ * O(numProducers + chunkSize), not O(E).
  *
  * @param scheduler  interleaving over live producers (single-use).
  * @param cache      the (usually L3) model; stats accumulate into it.
@@ -247,38 +204,9 @@ replayStream(InterleavingScheduler &scheduler, Cache &cache, Tlb *tlb,
     return result;
 }
 
-/**
- * Replay interleaved *materialized* traces through a cache (and
- * optional TLB). Adapter over replayStream(); peakResidentAccesses
- * additionally counts the materialized log itself.
- *
- * @param traces     per-thread access logs.
- * @param chunk_size round-robin chunk (paper-style interleaving).
- */
-template <typename OnAccess, typename OnScan>
-ReplayResult
-replay(std::span<const ThreadTrace> traces, std::size_t chunk_size,
-       Cache &cache, Tlb *tlb, OnAccess &&on_access,
-       std::uint64_t scan_every, OnScan &&on_scan)
-{
-    InterleavingScheduler scheduler(producersFromTraces(traces),
-                                    chunk_size);
-    ReplayResult result = replayStream(
-        scheduler, cache, tlb, std::forward<OnAccess>(on_access),
-        scan_every, std::forward<OnScan>(on_scan));
-    for (const ThreadTrace &trace : traces)
-        result.peakResidentAccesses += trace.size();
-    return result;
-}
-
 /** Streamed replay without hooks (single-use scheduler). */
 ReplayResult replayStreamSimple(InterleavingScheduler &scheduler,
                                 Cache &cache, Tlb *tlb = nullptr);
-
-/** Materialized replay without hooks. */
-ReplayResult replaySimple(std::span<const ThreadTrace> traces,
-                          std::size_t chunk_size, Cache &cache,
-                          Tlb *tlb = nullptr);
 
 } // namespace gral
 

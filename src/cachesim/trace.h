@@ -12,7 +12,6 @@
 #define GRAL_CACHESIM_TRACE_H
 
 #include <cstdint>
-#include <vector>
 
 #include "graph/types.h"
 
@@ -71,9 +70,6 @@ struct MemoryAccess
     friend bool operator==(const MemoryAccess &,
                            const MemoryAccess &) = default;
 };
-
-/** Per-thread access log produced by the instrumented traversal. */
-using ThreadTrace = std::vector<MemoryAccess>;
 
 } // namespace gral
 

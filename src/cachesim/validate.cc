@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <sstream>
 #include <string>
 
 namespace gral
@@ -54,38 +53,6 @@ validateCacheConfig(const CacheConfig &config)
     if (config.policy == ReplacementPolicy::DRRIP &&
         config.duelingLeaderSets == 0)
         fail(what, "DRRIP needs at least one leader set per team");
-}
-
-void
-OrderCheckSink::consume(const MemoryAccess &access)
-{
-    if (position_ >= expected_.size())
-        fail("access stream",
-             "surplus access at position " + str(position_) +
-                 ": reference order has only " + str(expected_.size()) +
-                 " accesses");
-    const MemoryAccess &want = expected_[position_];
-    if (!(access == want)) {
-        std::ostringstream message;
-        message << "interleaving diverges from the reference order at "
-                << "position " << position_ << ": got addr 0x"
-                << std::hex << access.addr << ", want addr 0x"
-                << want.addr << std::dec << " (owner vertex "
-                << access.ownerVertex << " vs " << want.ownerVertex
-                << ")";
-        fail("access stream", message.str());
-    }
-    ++position_;
-    inner_.consume(access);
-}
-
-void
-OrderCheckSink::finish() const
-{
-    if (position_ != expected_.size())
-        fail("access stream",
-             "stream ended after " + str(position_) + " of " +
-                 str(expected_.size()) + " expected accesses");
 }
 
 } // namespace gral

@@ -1,6 +1,6 @@
 /**
  * @file
- * Structural validators for cache geometry and access streams.
+ * Structural validator for cache geometry.
  *
  * The cachesim half of the validator family (graph-side validators
  * and ValidationError itself live in graph/validate.h; both moved out
@@ -11,12 +11,7 @@
 #ifndef GRAL_CACHESIM_VALIDATE_H
 #define GRAL_CACHESIM_VALIDATE_H
 
-#include <cstddef>
-#include <span>
-
-#include "cachesim/access_stream.h"
 #include "cachesim/cache.h"
-#include "cachesim/trace.h"
 #include "graph/validate.h"
 
 namespace gral
@@ -30,38 +25,6 @@ namespace gral
  * @throws ValidationError (graph/validate.h) on the first violation.
  */
 void validateCacheConfig(const CacheConfig &config);
-
-/**
- * Sink decorator asserting the scheduler's deterministic
- * interleaving: forwards every access to the wrapped sink after
- * checking it matches the next record of @p expected (the reference
- * order, e.g. a materialized TraceInterleaver run). Throws
- * ValidationError on the first out-of-order, mutated, or surplus
- * access; call finish() after the drain to catch truncation.
- */
-class OrderCheckSink final : public AccessSink
-{
-  public:
-    OrderCheckSink(AccessSink &inner,
-                   std::span<const MemoryAccess> expected)
-        : inner_(inner), expected_(expected)
-    {
-    }
-
-    void consume(const MemoryAccess &access) override;
-
-    /** @throws ValidationError unless exactly expected.size()
-     *  accesses were consumed. */
-    void finish() const;
-
-    /** Accesses verified so far. */
-    std::size_t position() const { return position_; }
-
-  private:
-    AccessSink &inner_;
-    std::span<const MemoryAccess> expected_;
-    std::size_t position_ = 0;
-};
 
 } // namespace gral
 

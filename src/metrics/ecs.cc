@@ -63,17 +63,4 @@ effectiveCacheSize(ProducerSet producers, const AddressMap &map,
     return result;
 }
 
-EcsResult
-effectiveCacheSize(std::span<const ThreadTrace> traces,
-                   const AddressMap &map, const EcsOptions &options)
-{
-    EcsResult result =
-        effectiveCacheSize(producersFromTraces(traces), map, options);
-    std::size_t materialized = 0;
-    for (const ThreadTrace &trace : traces)
-        materialized += trace.size();
-    result.peakResidentAccesses += materialized;
-    return result;
-}
-
 } // namespace gral

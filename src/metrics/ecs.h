@@ -13,8 +13,6 @@
 #ifndef GRAL_METRICS_ECS_H
 #define GRAL_METRICS_ECS_H
 
-#include <span>
-
 #include "cachesim/access_stream.h"
 #include "cachesim/address_map.h"
 #include "cachesim/cache.h"
@@ -48,8 +46,8 @@ struct EcsResult
     CacheStats cache;
     /** Accesses replayed. */
     std::uint64_t totalAccesses = 0;
-    /** Peak MemoryAccess records resident during the replay (see
-     *  MissProfileResult::peakResidentAccesses). */
+    /** Peak MemoryAccess records resident during the replay: the
+     *  scheduler's chunk buffer, at most EcsOptions::chunkSize. */
     std::uint64_t peakResidentAccesses = 0;
 
     /** peakResidentAccesses in bytes. */
@@ -61,21 +59,14 @@ struct EcsResult
 };
 
 /**
- * Replay @p traces and measure the effective cache size.
+ * Replay @p producers and measure the effective cache size. The
+ * stream goes through a CacheReplaySink wrapped in a
+ * PeriodicScanSink and is never materialized.
  *
- * @param traces  instrumented traversal logs.
- * @param map     the address layout the traces were generated with
- *                (classifies scanned lines into data vs topology).
- * @param options measurement knobs.
- */
-EcsResult effectiveCacheSize(std::span<const ThreadTrace> traces,
-                             const AddressMap &map,
-                             const EcsOptions &options = {});
-
-/**
- * Streaming core: replay straight from @p producers (built as a
- * CacheReplaySink wrapped in a PeriodicScanSink) without
- * materializing the trace. The span overload delegates here.
+ * @param producers instrumented traversal streams (consumed).
+ * @param map       the address layout the producers emit in
+ *                  (classifies scanned lines into data vs topology).
+ * @param options   measurement knobs.
  */
 EcsResult effectiveCacheSize(ProducerSet producers,
                              const AddressMap &map,

@@ -92,30 +92,4 @@ simulateMissProfile(ProducerSet producers,
                                options);
 }
 
-MissProfileResult
-simulateMissProfile(std::span<const ThreadTrace> traces,
-                    std::span<const EdgeId> owner_degrees,
-                    std::span<const EdgeId> accessed_degrees,
-                    const SimulationOptions &options)
-{
-    MissProfileResult result = simulateMissProfile(
-        producersFromTraces(traces), owner_degrees, accessed_degrees,
-        options);
-    // The caller holds the whole materialized log alongside the
-    // scheduler's chunk buffer.
-    std::size_t materialized = 0;
-    for (const ThreadTrace &trace : traces)
-        materialized += trace.size();
-    result.peakResidentAccesses += materialized;
-    return result;
-}
-
-MissProfileResult
-simulateMissProfile(std::span<const ThreadTrace> traces,
-                    std::span<const EdgeId> degrees,
-                    const SimulationOptions &options)
-{
-    return simulateMissProfile(traces, degrees, degrees, options);
-}
-
 } // namespace gral

@@ -130,8 +130,7 @@ struct MissProfileResult
     /** Per-set-dueling-class counters, indexed by SetClass. */
     CacheStats classStats[kNumSetClasses];
     /** Peak MemoryAccess records resident during the replay: the
-     *  chunk buffer on the streaming path, the whole materialized log
-     *  plus that buffer on the vector path. */
+     *  scheduler's chunk buffer, at most SimulationOptions::chunkSize. */
     std::uint64_t peakResidentAccesses = 0;
 
     /** peakResidentAccesses in bytes. */
@@ -153,8 +152,10 @@ struct MissProfileResult
 };
 
 /**
- * Replay @p traces through a fresh cache (and TLB) and profile misses
- * by degree.
+ * Stream per-thread @p producers through the round-robin scheduler
+ * into a fresh cache (and TLB) and profile misses by degree. The
+ * trace is never materialized: peak resident trace memory is
+ * O(options.chunkSize) instead of O(total accesses).
  *
  * Two degree views are used, matching how the paper reads its two
  * artefacts: Figure 1 bins each access by the degree of the vertex
@@ -163,7 +164,8 @@ struct MissProfileResult
  * vertex whose data was *accessed* (dataVertex — out-degree of u in a
  * pull traversal, its reuse count).
  *
- * @param traces           per-thread instrumented traversal logs.
+ * @param producers        one instrumented stream per simulated
+ *                         thread (consumed).
  * @param owner_degrees    degree per vertex for the Figure-1 binning,
  *                         indexed by MemoryAccess::ownerVertex.
  * @param accessed_degrees degree per vertex for the Table-III
@@ -172,30 +174,11 @@ struct MissProfileResult
  * @param options          simulation knobs.
  */
 MissProfileResult simulateMissProfile(
-    std::span<const ThreadTrace> traces,
-    std::span<const EdgeId> owner_degrees,
-    std::span<const EdgeId> accessed_degrees,
-    const SimulationOptions &options = {});
-
-/** Convenience overload: one degree view for both purposes. */
-MissProfileResult simulateMissProfile(
-    std::span<const ThreadTrace> traces,
-    std::span<const EdgeId> degrees,
-    const SimulationOptions &options = {});
-
-/**
- * Streaming core: pull accesses straight from per-thread @p producers
- * through the round-robin scheduler into the cache model, never
- * materializing the trace. Peak resident trace memory is
- * O(options.chunkSize) instead of O(total accesses). The span
- * overloads above delegate here through adapter producers.
- */
-MissProfileResult simulateMissProfile(
     ProducerSet producers, std::span<const EdgeId> owner_degrees,
     std::span<const EdgeId> accessed_degrees,
     const SimulationOptions &options = {});
 
-/** Streaming convenience overload: one degree view. */
+/** Convenience overload: one degree view for both purposes. */
 MissProfileResult simulateMissProfile(
     ProducerSet producers, std::span<const EdgeId> degrees,
     const SimulationOptions &options = {});

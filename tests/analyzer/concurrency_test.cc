@@ -222,7 +222,7 @@ class Series
 TEST(ConcurrencyTest, DefaultedSeqCstLoadStoreFlagged)
 {
     std::vector<Finding> findings =
-        ruleOnly(runOn("src/spmv/pool.cc", R"(
+        ruleOnly(runOn("src/kernels/pool.cc", R"(
 class Pool
 {
     void f()
@@ -286,7 +286,7 @@ class C
 TEST(ConcurrencyTest, LocalAtomicVariablesAudited)
 {
     std::vector<Finding> findings =
-        ruleOnly(runOn("src/spmv/pool.cc", R"(
+        ruleOnly(runOn("src/kernels/pool.cc", R"(
 void
 f()
 {
@@ -334,7 +334,7 @@ Registry::bump()
 
 TEST(ConcurrencyTest, FixRoundTripLeavesZeroAtomicFindings)
 {
-    SourceTree tree = {{"src/spmv/pool.cc", R"(
+    SourceTree tree = {{"src/kernels/pool.cc", R"(
 class Pool
 {
     void f()
@@ -354,7 +354,7 @@ class Pool
 
     std::vector<std::string> changed = applyFixes(tree, first);
     ASSERT_EQ(changed.size(), 1u);
-    EXPECT_EQ(changed[0], "src/spmv/pool.cc");
+    EXPECT_EQ(changed[0], "src/kernels/pool.cc");
     // The edit inserted explicit memory orders.
     EXPECT_NE(tree[0].content.find("counter_.store(1, "
                                    "std::memory_order_relaxed)"),

@@ -103,13 +103,17 @@ TEST(IncludeGraph, AllowedIncludesMatchTheDag)
     EXPECT_TRUE(analysis->count("metrics"));
     EXPECT_TRUE(analysis->count("kernels"));
 
-    // BFS and PageRank live in kernels/ itself; the algorithms
-    // module they came from is gone, so the DAG has no entry for it.
+    // Every kernel (SpMV, BFS, PageRank, CC) lives in kernels/
+    // itself; the algorithms and spmv modules they came from are
+    // gone, so the DAG has no entry for either. kernels inherits
+    // spmv's grants: the pool (exec), storage and obs/perf.
     EXPECT_EQ(allowedIncludes("algorithms"), nullptr);
+    EXPECT_EQ(allowedIncludes("spmv"), nullptr);
     const std::set<std::string> *kernels = allowedIncludes("kernels");
     ASSERT_NE(kernels, nullptr);
-    EXPECT_TRUE(kernels->count("spmv"));
+    EXPECT_FALSE(kernels->count("spmv"));
     EXPECT_TRUE(kernels->count("cachesim"));
+    EXPECT_TRUE(kernels->count("exec"));
     EXPECT_FALSE(kernels->count("metrics"));
     EXPECT_FALSE(kernels->count("analysis"));
 
@@ -118,13 +122,12 @@ TEST(IncludeGraph, AllowedIncludesMatchTheDag)
     const std::set<std::string> *metrics = allowedIncludes("metrics");
     ASSERT_NE(metrics, nullptr);
     EXPECT_TRUE(metrics->count("cachesim"));
-    EXPECT_FALSE(metrics->count("spmv"));
     EXPECT_FALSE(metrics->count("kernels"));
 
     // obs core must stay syscall-free: it may not include obs/perf,
     // while obs/perf may use obs (metrics, spans). Only the modules
-    // that measure (spmv's pool, the experiment runner) get the
-    // sublayer.
+    // that measure (the pool, the kernels' parallel SpMV, the
+    // experiment runner) get the sublayer.
     const std::set<std::string> *obs = allowedIncludes("obs");
     ASSERT_NE(obs, nullptr);
     EXPECT_FALSE(obs->count("obs/perf"));
@@ -133,17 +136,15 @@ TEST(IncludeGraph, AllowedIncludesMatchTheDag)
     EXPECT_TRUE(perf->count("obs"));
     EXPECT_TRUE(perf->count("common"));
     EXPECT_FALSE(perf->count("graph"));
-    const std::set<std::string> *spmv = allowedIncludes("spmv");
-    ASSERT_NE(spmv, nullptr);
-    EXPECT_TRUE(spmv->count("obs/perf"));
+    EXPECT_TRUE(kernels->count("obs/perf"));
     EXPECT_TRUE(allowedIncludes("analysis")->count("obs/perf"));
     EXPECT_FALSE(allowedIncludes("cachesim")->count("obs/perf"));
 
     // graph core stays format- and syscall-free: it may use the
     // execution substrate (parallel builder) but never reach up into
     // its own storage sublayer; storage may use graph (views, types)
-    // but not exec. Consumers above (spmv, kernels, analysis) get
-    // the sublayer; reorder and cachesim do not.
+    // but not exec. Consumers above (kernels, analysis) get the
+    // sublayer; reorder and cachesim do not.
     const std::set<std::string> *graphDeps = allowedIncludes("graph");
     ASSERT_NE(graphDeps, nullptr);
     EXPECT_TRUE(graphDeps->count("exec"));
@@ -154,13 +155,12 @@ TEST(IncludeGraph, AllowedIncludesMatchTheDag)
     EXPECT_TRUE(storage->count("graph"));
     EXPECT_TRUE(storage->count("common"));
     EXPECT_FALSE(storage->count("exec"));
-    EXPECT_FALSE(storage->count("spmv"));
+    EXPECT_FALSE(storage->count("kernels"));
     const std::set<std::string> *exec = allowedIncludes("exec");
     ASSERT_NE(exec, nullptr);
     EXPECT_TRUE(exec->count("obs"));
     EXPECT_FALSE(exec->count("graph"));
-    EXPECT_TRUE(spmv->count("graph/storage"));
-    EXPECT_TRUE(allowedIncludes("kernels")->count("graph/storage"));
+    EXPECT_TRUE(kernels->count("graph/storage"));
     EXPECT_TRUE(allowedIncludes("analysis")->count("graph/storage"));
     EXPECT_FALSE(allowedIncludes("reorder")->count("graph/storage"));
     EXPECT_FALSE(allowedIncludes("cachesim")->count("graph/storage"));

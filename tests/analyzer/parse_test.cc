@@ -40,6 +40,20 @@ TEST(ParseTest, TokenKindsAndText)
     EXPECT_EQ(at(ts, 9).text, ";");
 }
 
+TEST(ParseTest, TokensSurviveMoveAssignmentOfShortText)
+{
+    // Under 16 bytes the text fits std::string's inline buffer, so a
+    // moved string copies its bytes; the token views must still
+    // point at live bytes after the stream is move-assigned.
+    TokenStream ts = tokens("long unrelated filler text;");
+    ts = tokens("int x = 1;");
+    ASSERT_EQ(ts.tokens.size(), 5u);
+    const char *expected[] = {"int", "x", "=", "1", ";"};
+    for (std::size_t i = 0; i < ts.tokens.size(); ++i)
+        EXPECT_EQ(at(ts, i).text, expected[i]) << "token " << i;
+    EXPECT_TRUE(ts.isIdent(0, "int"));
+}
+
 TEST(ParseTest, LineAndColumnAreByteExact)
 {
     TokenStream ts = tokens("int a;\n  foo bar;\n");

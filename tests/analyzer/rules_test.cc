@@ -162,7 +162,7 @@ TEST(RuleScoping, HotPathRulesOnlyInCachesimAndSpmv)
     EXPECT_EQ(countRule(runOn("src/cachesim/c.cc", loop),
                         "hot-path-alloc"),
               1);
-    EXPECT_EQ(countRule(runOn("src/spmv/s.cc", loop),
+    EXPECT_EQ(countRule(runOn("src/kernels/s.cc", loop),
                         "hot-path-alloc"),
               1);
     EXPECT_EQ(countRule(runOn("src/graph/g.cc", loop),
@@ -205,7 +205,7 @@ TEST(HotPath, MetricsLookupOutsideLoopIsFine)
 TEST(HotPath, SpanInsideLoopFires)
 {
     std::vector<Finding> findings =
-        runOn("src/spmv/s.cc",
+        runOn("src/kernels/s.cc",
               "for (auto &x : xs) {\n    GRAL_SPAN(\"iter\");\n}\n");
     EXPECT_EQ(countRule(findings, "hot-path-span"), 1);
 }
@@ -213,7 +213,7 @@ TEST(HotPath, SpanInsideLoopFires)
 TEST(HotPath, SingleStatementLoopBodyCounts)
 {
     std::vector<Finding> findings = runOn(
-        "src/spmv/s.cc",
+        "src/kernels/s.cc",
         "for (int i = 0; i < n; ++i)\n"
         "    sinks.push_back(std::make_unique<Sink>());\n");
     EXPECT_EQ(countRule(findings, "hot-path-alloc"), 1);
@@ -222,7 +222,7 @@ TEST(HotPath, SingleStatementLoopBodyCounts)
 TEST(HotPath, PerfReadInsideLoopFires)
 {
     std::vector<Finding> findings = runOn(
-        "src/spmv/s.cc",
+        "src/kernels/s.cc",
         "for (std::size_t i = 0; i < n; ++i) {\n"
         "    PerfGroupReading r = group.readCounters();\n"
         "    use(r);\n"
@@ -247,7 +247,7 @@ TEST(HotPath, PerfReadReachableFromLoopFires)
 TEST(HotPath, PerfReadOutsideLoopIsFine)
 {
     std::vector<Finding> findings = runOn(
-        "src/spmv/s.cc",
+        "src/kernels/s.cc",
         "group.start();\n"
         "for (std::size_t i = 0; i < n; ++i)\n"
         "    work(i);\n"
@@ -259,7 +259,7 @@ TEST(HotPath, PerfReadOutsideLoopIsFine)
 TEST(HotPath, SuppressionCommentSilences)
 {
     std::vector<Finding> findings = runOn(
-        "src/spmv/s.cc",
+        "src/kernels/s.cc",
         "for (int i = 0; i < n; ++i) {\n"
         "    // gral-analyzer: off(hot-path-alloc)\n"
         "    sinks.push_back(std::make_unique<Sink>());\n"

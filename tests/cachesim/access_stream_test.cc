@@ -10,6 +10,7 @@
 
 #include "cachesim/access_stream.h"
 #include "cachesim/interleave.h"
+#include "tests/support/trace_support.h"
 
 namespace gral
 {
@@ -38,23 +39,17 @@ ThreadTrace
 streamed(const std::vector<ThreadTrace> &traces,
          std::size_t chunk_size)
 {
-    InterleavingScheduler scheduler(producersFromTraces(traces),
-                                    chunk_size);
-    ThreadTrace out;
-    VectorSink sink(out);
-    scheduler.drainTo(sink);
-    return out;
+    return scheduledOrder(producersFromTraces(traces), chunk_size);
 }
 
-/** The invariant the refactor rests on: for every chunk size, the
- *  streamed order equals the materialized TraceInterleaver order. */
+/** For every chunk size, the scheduler's order equals the plain
+ *  round-robin reference order. */
 void
 expectMatchesMaterialize(const std::vector<ThreadTrace> &traces,
                          std::size_t chunk_size)
 {
-    TraceInterleaver interleaver(traces, chunk_size);
     EXPECT_EQ(addrsOf(streamed(traces, chunk_size)),
-              addrsOf(interleaver.materialize()))
+              addrsOf(referenceInterleave(traces, chunk_size)))
         << "chunk size " << chunk_size;
 }
 
@@ -182,6 +177,8 @@ TEST(VectorAdapters, ShortFills)
 
 TEST(StreamedReplay, MatchesVectorReplay)
 {
+    // Replaying the producers straight through the scheduler and
+    // replaying their drained logs hit the cache identically.
     std::vector<ThreadTrace> traces(3);
     for (std::uint64_t i = 0; i < 200; ++i) {
         traces[0].push_back(at((i % 40) * 64));
@@ -195,21 +192,21 @@ TEST(StreamedReplay, MatchesVectorReplay)
     config.lineBytes = 64;
     config.policy = ReplacementPolicy::DRRIP;
 
-    Cache vector_cache(config);
-    ReplayResult from_vectors =
-        replaySimple(traces, 8, vector_cache);
+    Cache reference_cache(config);
+    for (const MemoryAccess &access : referenceInterleave(traces, 8))
+        reference_cache.accessRange(access.addr, access.size,
+                                    access.isWrite);
 
     Cache stream_cache(config);
     InterleavingScheduler scheduler(producersFromTraces(traces), 8);
     ReplayResult from_stream =
         replayStreamSimple(scheduler, stream_cache);
 
-    EXPECT_EQ(from_stream.accessCount, from_vectors.accessCount);
-    EXPECT_EQ(from_stream.cache.hits, from_vectors.cache.hits);
-    EXPECT_EQ(from_stream.cache.misses, from_vectors.cache.misses);
-    // The vector path additionally holds the materialized log.
-    EXPECT_LT(from_stream.peakResidentAccesses,
-              from_vectors.peakResidentAccesses);
+    EXPECT_EQ(from_stream.accessCount, accessCount(traces));
+    EXPECT_EQ(from_stream.cache.hits, reference_cache.stats().hits);
+    EXPECT_EQ(from_stream.cache.misses,
+              reference_cache.stats().misses);
+    EXPECT_LE(from_stream.peakResidentAccesses, 8u);
 }
 
 TEST(Sinks, PeriodicScanDecorator)

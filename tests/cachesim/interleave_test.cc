@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for round-robin trace interleaving and replay.
+ * Tests for round-robin trace interleaving and replay: hand-written
+ * per-thread logs streamed through the InterleavingScheduler.
  */
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <stdexcept>
 
 #include "cachesim/interleave.h"
+#include "tests/support/trace_support.h"
 
 namespace gral
 {
@@ -27,8 +29,7 @@ TEST(Interleaver, RoundRobinChunks)
     std::vector<ThreadTrace> traces(2);
     traces[0] = {at(0), at(1), at(2), at(3)};
     traces[1] = {at(100), at(101), at(102), at(103)};
-    TraceInterleaver interleaver(traces, 2);
-    auto merged = interleaver.materialize();
+    auto merged = scheduledOrder(producersFromTraces(traces), 2);
     ASSERT_EQ(merged.size(), 8u);
     std::vector<std::uint64_t> addrs;
     for (const MemoryAccess &access : merged)
@@ -43,9 +44,7 @@ TEST(Interleaver, UnevenTraceLengths)
     traces[0] = {at(0), at(1), at(2), at(3), at(4)};
     traces[1] = {at(100)};
     traces[2] = {};
-    TraceInterleaver interleaver(traces, 2);
-    EXPECT_EQ(interleaver.totalAccesses(), 6u);
-    auto merged = interleaver.materialize();
+    auto merged = scheduledOrder(producersFromTraces(traces), 2);
     ASSERT_EQ(merged.size(), 6u);
     EXPECT_EQ(merged[0].addr, 0u);
     EXPECT_EQ(merged[1].addr, 1u);
@@ -60,8 +59,7 @@ TEST(Interleaver, ChunkLargerThanTraces)
     std::vector<ThreadTrace> traces(2);
     traces[0] = {at(0), at(1)};
     traces[1] = {at(100)};
-    TraceInterleaver interleaver(traces, 1000);
-    auto merged = interleaver.materialize();
+    auto merged = scheduledOrder(producersFromTraces(traces), 1000);
     ASSERT_EQ(merged.size(), 3u);
     EXPECT_EQ(merged[0].addr, 0u);
     EXPECT_EQ(merged[2].addr, 100u);
@@ -70,15 +68,14 @@ TEST(Interleaver, ChunkLargerThanTraces)
 TEST(Interleaver, ZeroChunkRejected)
 {
     std::vector<ThreadTrace> traces(1);
-    EXPECT_THROW(TraceInterleaver(traces, 0), std::invalid_argument);
+    EXPECT_THROW(InterleavingScheduler(producersFromTraces(traces), 0),
+                 std::invalid_argument);
 }
 
 TEST(Interleaver, EmptyTraces)
 {
     std::vector<ThreadTrace> traces;
-    TraceInterleaver interleaver(traces, 4);
-    EXPECT_EQ(interleaver.totalAccesses(), 0u);
-    EXPECT_TRUE(interleaver.materialize().empty());
+    EXPECT_TRUE(scheduledOrder(producersFromTraces(traces), 4).empty());
 }
 
 TEST(Replay, CountsAllAccesses)
@@ -94,7 +91,8 @@ TEST(Replay, CountsAllAccesses)
     config.lineBytes = 64;
     config.policy = ReplacementPolicy::LRU;
     Cache cache(config);
-    ReplayResult result = replaySimple(traces, 4, cache);
+    InterleavingScheduler scheduler(producersFromTraces(traces), 4);
+    ReplayResult result = replayStreamSimple(scheduler, cache);
     EXPECT_EQ(result.accessCount, 20u);
     EXPECT_EQ(result.cache.accesses(), 20u);
     EXPECT_EQ(result.cache.misses, 20u); // all distinct lines
@@ -110,7 +108,8 @@ TEST(Replay, TlbOptional)
     config.lineBytes = 64;
     Cache cache(config);
     Tlb tlb(stlb4kConfig());
-    ReplayResult result = replaySimple(traces, 8, cache, &tlb);
+    InterleavingScheduler scheduler(producersFromTraces(traces), 8);
+    ReplayResult result = replayStreamSimple(scheduler, cache, &tlb);
     EXPECT_EQ(result.tlb.accesses(), 3u);
     EXPECT_EQ(result.tlb.misses, 2u);
 }
@@ -126,8 +125,9 @@ TEST(Replay, ScanHookFires)
     config.lineBytes = 64;
     Cache cache(config);
     std::uint64_t scans = 0;
-    replay(
-        traces, 8, cache, nullptr,
+    InterleavingScheduler scheduler(producersFromTraces(traces), 8);
+    replayStream(
+        scheduler, cache, nullptr,
         [](const MemoryAccess &, const AccessOutcome &) {}, 25,
         [&](const Cache &) { ++scans; });
     EXPECT_EQ(scans, 4u);
@@ -143,8 +143,9 @@ TEST(Replay, AccessHookSeesOutcomes)
     config.lineBytes = 64;
     Cache cache(config);
     std::vector<bool> hits;
-    replay(
-        traces, 8, cache, nullptr,
+    InterleavingScheduler scheduler(producersFromTraces(traces), 8);
+    replayStream(
+        scheduler, cache, nullptr,
         [&](const MemoryAccess &, const AccessOutcome &outcome) {
             hits.push_back(outcome.cacheHit);
         },

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the cachesim-side validators (cachesim/validate.h):
- * broken cache geometry and misordered access streams must each be
- * rejected.
+ * Tests for the cachesim-side validator (cachesim/validate.h) and the
+ * test-side order check (tests/support/trace_support.h): broken cache
+ * geometry and misordered access streams must each be rejected.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 
 #include "cachesim/access_stream.h"
 #include "cachesim/validate.h"
+#include "tests/support/trace_support.h"
 
 namespace gral
 {
@@ -129,8 +130,8 @@ TEST(OrderCheckSink, RejectsTruncatedStream)
 }
 
 /** End-to-end wiring: the streaming scheduler's interleaving must
- *  reproduce the reference order bit-for-bit when replayed through an
- *  OrderCheckSink. */
+ *  reproduce the plain round-robin reference order bit-for-bit when
+ *  replayed through an OrderCheckSink. */
 TEST(OrderCheckSink, SchedulerInterleavingMatchesReference)
 {
     std::vector<ThreadTrace> traces(3);
@@ -140,15 +141,8 @@ TEST(OrderCheckSink, SchedulerInterleavingMatchesReference)
                 accessAt(t * 10000 + i * 64,
                          static_cast<VertexId>(i)));
 
-    // Reference order: one scheduler materializes the interleaving...
-    std::vector<MemoryAccess> reference;
-    {
-        InterleavingScheduler scheduler(producersFromTraces(traces), 4);
-        VectorSink sink(reference);
-        scheduler.drainTo(sink);
-    }
-
-    // ...a second identical run must replay it exactly.
+    std::vector<MemoryAccess> reference =
+        referenceInterleave(traces, 4);
     std::vector<MemoryAccess> replayed;
     VectorSink inner(replayed);
     OrderCheckSink checker(inner, reference);

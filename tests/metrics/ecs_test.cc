@@ -6,8 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "kernels/spmv_kernel.h"
+#include "tests/support/trace_support.h"
 #include "metrics/ecs.h"
-#include "spmv/trace_gen.h"
 
 namespace gral
 {
@@ -29,9 +30,9 @@ TEST(Ecs, ScansHappen)
 {
     Graph graph = generateErdosRenyi(1000, 10000, 4);
     TraceOptions trace_options;
-    auto traces = generatePullTrace(graph, trace_options);
-    auto result =
-        effectiveCacheSize(traces, trace_options.map, smallEcs());
+    auto result = effectiveCacheSize(
+        makePullProducers(graph, trace_options), trace_options.map,
+        smallEcs());
     EXPECT_GT(result.scans, 0u);
     EXPECT_GE(result.avgEcsPercent, 0.0);
     EXPECT_LE(result.avgEcsPercent, 100.0);
@@ -43,9 +44,9 @@ TEST(Ecs, DataOnlyTraceGivesHighEcs)
     TraceOptions trace_options;
     trace_options.traceOffsets = false;
     trace_options.traceEdges = false;
-    auto traces = generatePullTrace(graph, trace_options);
-    auto result =
-        effectiveCacheSize(traces, trace_options.map, smallEcs());
+    auto result = effectiveCacheSize(
+        makePullProducers(graph, trace_options), trace_options.map,
+        smallEcs());
     // Only vertex-data lines enter the cache (a few sets stay cold,
     // so the share is high but not exactly 100).
     EXPECT_GT(result.avgEcsPercent, 80.0);
@@ -56,9 +57,9 @@ TEST(Ecs, TopologySharePlusDataShareSane)
 {
     Graph graph = generateErdosRenyi(3000, 40000, 6);
     TraceOptions trace_options;
-    auto traces = generatePullTrace(graph, trace_options);
-    auto result =
-        effectiveCacheSize(traces, trace_options.map, smallEcs());
+    auto result = effectiveCacheSize(
+        makePullProducers(graph, trace_options), trace_options.map,
+        smallEcs());
     EXPECT_GT(result.avgTopologyPercent, 0.0);
     EXPECT_LE(result.avgEcsPercent + result.avgTopologyPercent,
               100.0 + 1e-9);
@@ -70,11 +71,11 @@ TEST(Ecs, NoScanWhenTraceShorterThanInterval)
 {
     Graph graph = makeGrid(4, 4);
     TraceOptions trace_options;
-    auto traces = generatePullTrace(graph, trace_options);
     EcsOptions options = smallEcs();
     options.scanEvery = 1u << 30;
-    auto result =
-        effectiveCacheSize(traces, trace_options.map, options);
+    auto result = effectiveCacheSize(
+        makePullProducers(graph, trace_options), trace_options.map,
+        options);
     EXPECT_EQ(result.scans, 0u);
     EXPECT_DOUBLE_EQ(result.avgEcsPercent, 0.0);
 }
@@ -83,9 +84,9 @@ TEST(Ecs, CacheStatsAccumulated)
 {
     Graph graph = makeGrid(20, 20);
     TraceOptions trace_options;
-    auto traces = generatePullTrace(graph, trace_options);
-    auto result =
-        effectiveCacheSize(traces, trace_options.map, smallEcs());
+    auto result = effectiveCacheSize(
+        makePullProducers(graph, trace_options), trace_options.map,
+        smallEcs());
     EXPECT_GT(result.cache.accesses(), 0u);
 }
 
@@ -93,9 +94,10 @@ TEST(Ecs, StreamingOverloadMatchesVectorOverload)
 {
     Graph graph = generateErdosRenyi(1500, 20000, 7);
     TraceOptions trace_options;
-    auto traces = generatePullTrace(graph, trace_options);
-    auto from_vectors =
-        effectiveCacheSize(traces, trace_options.map, smallEcs());
+    // Drained producers replayed as logs ≡ the producers streamed.
+    auto traces = drainAll(makePullProducers(graph, trace_options));
+    auto from_vectors = effectiveCacheSize(
+        producersFromTraces(traces), trace_options.map, smallEcs());
     auto from_stream = effectiveCacheSize(
         makePullProducers(graph, trace_options), trace_options.map,
         smallEcs());

@@ -9,8 +9,9 @@
 #include "graph/degree.h"
 #include "graph/generators.h"
 #include "graph/permutation.h"
+#include "kernels/spmv_kernel.h"
+#include "tests/support/trace_support.h"
 #include "metrics/miss_rate.h"
-#include "spmv/trace_gen.h"
 
 namespace gral
 {
@@ -30,9 +31,9 @@ smallSim()
 TEST(MissProfile, CountsOnlyDataAccesses)
 {
     Graph graph = generateErdosRenyi(500, 4000, 3);
-    auto traces = generatePullTrace(graph, {});
     auto reuse = degrees(graph, Direction::Out);
-    auto result = simulateMissProfile(traces, reuse, smallSim());
+    auto result = simulateMissProfile(makePullProducers(graph, {}),
+                                      reuse, smallSim());
     // Data accesses = |E| loads + |V| stores.
     EXPECT_EQ(result.dataAccesses,
               graph.numEdges() + graph.numVertices());
@@ -45,10 +46,10 @@ TEST(MissProfile, CountsOnlyDataAccesses)
 TEST(MissProfile, TinyGraphFitsInCacheAfterColdMisses)
 {
     Graph graph = makeGrid(8, 8); // 64 vertices: data fits anywhere
-    auto traces = generatePullTrace(graph, {});
     auto reuse = degrees(graph, Direction::Out);
     SimulationOptions options = smallSim();
-    auto result = simulateMissProfile(traces, reuse, options);
+    auto result = simulateMissProfile(makePullProducers(graph, {}),
+                                      reuse, options);
     // Vertex data spans 8 lines; every miss beyond compulsory would
     // signal a simulator bug.
     EXPECT_LE(result.dataMisses, 8u + graph.numVertices() / 8 + 2);
@@ -61,16 +62,15 @@ TEST(MissProfile, RandomOrderWorseThanIdentityOnClusteredGraph)
     // of the whole paper).
     Graph graph = makeGrid(150, 150);
     auto reuse = degrees(graph, Direction::Out);
-    auto traces = generatePullTrace(graph, {});
-    auto base = simulateMissProfile(traces, reuse, smallSim());
+    auto base = simulateMissProfile(makePullProducers(graph, {}),
+                                    reuse, smallSim());
 
     Graph shuffled = applyPermutation(
         graph, randomPermutation(graph.numVertices(), 99));
     auto shuffled_reuse = degrees(shuffled, Direction::Out);
-    auto shuffled_traces = generatePullTrace(shuffled, {});
     auto worse =
-        simulateMissProfile(shuffled_traces, shuffled_reuse,
-                            smallSim());
+        simulateMissProfile(makePullProducers(shuffled, {}),
+                            shuffled_reuse, smallSim());
 
     EXPECT_GT(worse.dataMissRate(), 2.0 * base.dataMissRate());
 }
@@ -81,11 +81,11 @@ TEST(MissProfile, ThresholdCountsAreMonotone)
     params.numVertices = 3000;
     params.edgesPerVertex = 8;
     Graph graph = generateSocialNetwork(params);
-    auto traces = generatePullTrace(graph, {});
     auto reuse = degrees(graph, Direction::Out);
     SimulationOptions options = smallSim();
     options.missThresholds = {0, 20, 100, 2000};
-    auto result = simulateMissProfile(traces, reuse, options);
+    auto result = simulateMissProfile(makePullProducers(graph, {}),
+                                      reuse, options);
     ASSERT_EQ(result.missesAboveThreshold.size(), 4u);
     // Higher thresholds can only reduce the count.
     for (std::size_t i = 1; i < 4; ++i)
@@ -98,9 +98,9 @@ TEST(MissProfile, ThresholdCountsAreMonotone)
 TEST(MissProfile, PerDegreeMeansAreRates)
 {
     Graph graph = generateErdosRenyi(2000, 20000, 8);
-    auto traces = generatePullTrace(graph, {});
     auto reuse = degrees(graph, Direction::Out);
-    auto result = simulateMissProfile(traces, reuse, smallSim());
+    auto result = simulateMissProfile(makePullProducers(graph, {}),
+                                      reuse, smallSim());
     for (const DegreeBinRow &row : result.perDegree.rows()) {
         EXPECT_GE(row.mean(), 0.0);
         EXPECT_LE(row.mean(), 1.0);
@@ -118,9 +118,10 @@ TEST(MissProfile, StreamingOverloadMatchesVectorOverload)
     SimulationOptions options = smallSim();
     options.missThresholds = {0, 10, 100};
 
-    auto traces = generatePullTrace(graph, {});
-    auto from_vectors =
-        simulateMissProfile(traces, in_deg, out_deg, options);
+    // Drained producers replayed as logs ≡ the producers streamed.
+    auto traces = drainAll(makePullProducers(graph, {}));
+    auto from_vectors = simulateMissProfile(
+        producersFromTraces(traces), in_deg, out_deg, options);
     auto from_stream = simulateMissProfile(
         makePullProducers(graph, {}), in_deg, out_deg, options);
 
@@ -144,12 +145,6 @@ TEST(MissProfile, StreamingPeakMemoryBoundedByChunk)
                                       reuse, options);
     EXPECT_GT(result.totalAccesses, 10u * options.chunkSize);
     EXPECT_LE(result.peakResidentAccesses, options.chunkSize);
-    // The vector path's peak includes the materialized log.
-    auto traces = generatePullTrace(graph, {});
-    auto vector_result =
-        simulateMissProfile(traces, reuse, options);
-    EXPECT_GE(vector_result.peakResidentAccesses,
-              vector_result.totalAccesses);
 }
 
 // --------------------------------------------- per-phase counters
@@ -189,8 +184,8 @@ TEST(MissProfile, PhaseCountersSplitByTagAndDegreeView)
     options.hubDegreeThreshold = 3;
     options.pushHubDegrees = push_deg;
     options.pullHubDegrees = pull_deg;
-    auto result =
-        simulateMissProfile(traces, plain_deg, plain_deg, options);
+    auto result = simulateMissProfile(producersFromTraces(traces),
+                                      plain_deg, plain_deg, options);
 
     // Untagged accesses count toward the aggregate but to neither
     // phase.
@@ -216,8 +211,8 @@ TEST(MissProfile, PhaseCountersSplitByTagAndDegreeView)
     SimulationOptions fallback = smallSim();
     fallback.simulateTlb = false;
     fallback.hubDegreeThreshold = 3;
-    auto no_hubs =
-        simulateMissProfile(traces, plain_deg, plain_deg, fallback);
+    auto no_hubs = simulateMissProfile(producersFromTraces(traces),
+                                       plain_deg, plain_deg, fallback);
     EXPECT_EQ(no_hubs.pushPhase.dataAccesses, 2u);
     EXPECT_EQ(no_hubs.pushPhase.hubAccesses, 0u);
     EXPECT_EQ(no_hubs.pullPhase.hubAccesses, 0u);
@@ -227,8 +222,8 @@ TEST(MissProfile, PhaseCountersSplitByTagAndDegreeView)
     disabled.simulateTlb = false;
     disabled.pushHubDegrees = push_deg;
     disabled.pullHubDegrees = pull_deg;
-    auto off =
-        simulateMissProfile(traces, plain_deg, plain_deg, disabled);
+    auto off = simulateMissProfile(producersFromTraces(traces),
+                                   plain_deg, plain_deg, disabled);
     EXPECT_EQ(off.pushPhase.dataAccesses, 2u);
     EXPECT_EQ(off.pushPhase.hubAccesses, 0u);
     EXPECT_EQ(off.pullPhase.hubAccesses, 0u);
@@ -237,14 +232,15 @@ TEST(MissProfile, PhaseCountersSplitByTagAndDegreeView)
 TEST(MissProfile, TlbCanBeDisabled)
 {
     Graph graph = makeGrid(10, 10);
-    auto traces = generatePullTrace(graph, {});
     auto reuse = degrees(graph, Direction::Out);
     SimulationOptions options = smallSim();
     options.simulateTlb = false;
-    auto result = simulateMissProfile(traces, reuse, options);
+    auto result = simulateMissProfile(makePullProducers(graph, {}),
+                                      reuse, options);
     EXPECT_EQ(result.tlb.accesses(), 0u);
     options.simulateTlb = true;
-    auto with_tlb = simulateMissProfile(traces, reuse, options);
+    auto with_tlb = simulateMissProfile(makePullProducers(graph, {}),
+                                        reuse, options);
     EXPECT_GT(with_tlb.tlb.accesses(), 0u);
 }
 

@@ -20,7 +20,7 @@ bool
 inAtomicAuditScope(const std::string &path)
 {
     return startsWith(path, "src/obs/metrics") ||
-           startsWith(path, "src/spmv/") ||
+           startsWith(path, "src/kernels/") ||
            startsWith(path, "src/cachesim/");
 }
 

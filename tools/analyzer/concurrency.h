@@ -15,7 +15,7 @@
  * atomic-seq-cst — a std::atomic member/local calling load, store,
  * exchange, fetch_<op>, or compare_exchange_<s> without an explicit
  * std::memory_order, or using ++/--, in the lock-free hot modules
- * (src/obs/metrics*, src/spmv/, src/cachesim/) whose designs document
+ * (src/obs/metrics*, src/kernels/, src/cachesim/) whose designs document
  * relaxed/acq-rel intent. Method-call findings carry a FixIt that
  * inserts std::memory_order_relaxed (DESIGN.md documents why relaxed
  * is the right default for these counters).

@@ -22,7 +22,6 @@ bool
 inHotPathScope(const std::string &path)
 {
     return startsWith(path, "src/cachesim/") ||
-           startsWith(path, "src/spmv/") ||
            startsWith(path, "src/kernels/") ||
            startsWith(path, "src/exec/") ||
            startsWith(path, "src/graph/storage/");

@@ -21,7 +21,7 @@
  *                     call; count the whole region via
  *                     GRAL_PERF_SCOPE and read once at its end
  *
- * Scope: src/cachesim/, src/spmv/, src/kernels/ (and the exec/storage
+ * Scope: src/cachesim/, src/kernels/ (and the exec/storage
  * layers they drive) — the simulator and kernel hot paths. Findings
  * in a called function say which function made them reachable.
  *

@@ -96,7 +96,7 @@ allowedIncludes(const std::string &module)
         {"obs/perf", {"obs/perf", "obs", "common"}},
         // The execution substrate (work-stealing pool) sits between
         // obs and graph so both the parallel graph builder and the
-        // SpMV engine can drive it.
+        // kernels' parallel SpMV can drive it.
         {"exec", {"exec", "common", "obs", "obs/perf"}},
         {"graph", {"graph", "exec", "common", "obs"}},
         // Storage sublayer: builds GraphViews over mmap'd .gralb
@@ -106,17 +106,14 @@ allowedIncludes(const std::string &module)
          {"graph/storage", "graph", "common", "obs"}},
         {"cachesim", {"cachesim", "graph", "common", "obs"}},
         {"reorder", {"reorder", "graph", "common", "obs"}},
-        {"spmv",
-         {"spmv", "cachesim", "graph/storage", "graph", "exec",
-          "common", "obs", "obs/perf"}},
         {"metrics",
          {"metrics", "cachesim", "graph", "common", "obs"}},
         {"kernels",
-         {"kernels", "spmv", "cachesim", "graph/storage", "graph",
-          "common", "obs"}},
+         {"kernels", "cachesim", "graph/storage", "graph", "exec",
+          "common", "obs", "obs/perf"}},
         {"analysis",
-         {"analysis", "kernels", "metrics", "reorder", "spmv",
-          "cachesim", "graph/storage", "graph", "exec", "common", "obs",
+         {"analysis", "kernels", "metrics", "reorder", "cachesim",
+          "graph/storage", "graph", "exec", "common", "obs",
           "obs/perf"}},
     };
     auto it = kDag.find(module);

@@ -14,8 +14,8 @@
  * On top of the file graph sit the two architectural rules
  * (DESIGN.md "Static analysis layer"):
  *   - layering: each src/ module may only include modules at or below
- *     it in the DAG `common -> graph -> {reorder, cachesim} -> spmv
- *     -> {metrics, kernels} -> analysis`, with `obs` includable by
+ *     it in the DAG `common -> graph -> {reorder, cachesim} ->
+ *     {metrics, kernels} -> analysis`, with `obs` includable by
  *     everyone and bench/tools/tests never includable from src/;
  *   - include-cycle: the file-level graph must be a DAG.
  */

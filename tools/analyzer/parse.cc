@@ -1,6 +1,7 @@
 #include "analyzer/parse.h"
 
 #include <cctype>
+#include <memory>
 
 namespace gral::analyzer
 {
@@ -54,8 +55,8 @@ TokenStream
 tokenize(const LexedFile &lexed)
 {
     TokenStream ts;
-    ts.text = lexed.stripped;
-    const std::string &text = ts.text;
+    ts.text = std::make_unique<const std::string>(lexed.stripped);
+    const std::string &text = *ts.text;
     const std::size_t n = text.size();
 
     std::size_t i = 0;

@@ -23,6 +23,8 @@
 #define GRAL_ANALYZER_PARSE_H
 
 #include <cstddef>
+#include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -44,7 +46,7 @@ enum class TokenKind : char
 struct Token
 {
     TokenKind kind = TokenKind::Punct;
-    /** View into TokenStream::text (the stripped bytes). */
+    /** View into *TokenStream::text (the stripped bytes). */
     std::string_view text;
     /** Byte offset of the first byte in the file. */
     std::size_t offset = 0;
@@ -52,11 +54,16 @@ struct Token
     int column = 1; // 1-based byte column
 };
 
-/** Tokenized view of one file. Views point into @p text. */
+/**
+ * Tokenized view of one file. Views point into @p text, which lives
+ * on the heap so that they survive moving the stream: a moved
+ * std::string keeps a short text in its inline buffer, and views
+ * into it would dangle.
+ */
 struct TokenStream
 {
     /** Copy of the stripped text the token views point into. */
-    std::string text;
+    std::unique_ptr<const std::string> text;
     std::vector<Token> tokens;
     /** Partner index for bracket tokens, -1 otherwise/unbalanced. */
     std::vector<int> match;

@@ -476,7 +476,7 @@ ruleCatalogue()
     static const std::vector<RuleInfo> kRules = {
         {"atomic-seq-cst",
          "std::atomic load/store/RMW in the lock-free hot modules "
-         "(src/obs/metrics, src/spmv, src/cachesim) must state its "
+         "(src/obs/metrics, src/kernels, src/cachesim) must state its "
          "memory_order explicitly; the default is seq_cst"},
         {"check-side-effect",
          "GRAL_CHECK/GRAL_DCHECK condition must not contain ++/--/"
@@ -488,33 +488,33 @@ ruleCatalogue()
         {"hot-path-alloc",
          "no allocation (new/make_unique/make_shared) in loop bodies "
          "or functions reachable from them — across TU boundaries — "
-         "in the hot modules (src/cachesim, src/spmv, src/kernels, "
-         "src/exec, src/graph/storage)"},
+         "in the hot modules (src/cachesim, src/kernels, src/exec, "
+         "src/graph/storage)"},
         {"hot-path-lock",
          "no mutex acquisition (lock_guard/scoped_lock/unique_lock/"
          "shared_lock/.lock()) in loop bodies or functions reachable "
-         "from them in the hot modules (src/cachesim, src/spmv, "
-         "src/kernels, src/exec, src/graph/storage)"},
+         "from them in the hot modules (src/cachesim, src/kernels, "
+         "src/exec, src/graph/storage)"},
         {"hot-path-metrics",
          "no MetricsRegistry name lookup in loop bodies or functions "
          "reachable from them in the hot modules (src/cachesim, "
-         "src/spmv, src/kernels, src/exec, src/graph/storage); "
-         "hoist the handle"},
+         "src/kernels, src/exec, src/graph/storage); hoist the "
+         "handle"},
         {"hot-path-perf-read",
          "no perf counter group .readCounters() in loop bodies or "
          "functions reachable from them in the hot modules "
-         "(src/cachesim, src/spmv, src/kernels, src/exec, "
-         "src/graph/storage); each read is a syscall — count the "
+         "(src/cachesim, src/kernels, src/exec, src/graph/storage); "
+         "each read is a syscall — count the "
          "whole region and read once at its end (obs/perf/scope.h)"},
         {"hot-path-span",
          "no GRAL_SPAN in loop bodies or functions reachable from "
-         "them in the hot modules (src/cachesim, src/spmv, "
-         "src/kernels, src/exec, src/graph/storage)"},
+         "them in the hot modules (src/cachesim, src/kernels, "
+         "src/exec, src/graph/storage)"},
         {"hot-path-virtual",
          "no virtual dispatch in loop bodies or functions reachable "
-         "from them in the hot modules (src/cachesim, src/spmv, "
-         "src/kernels, src/exec, src/graph/storage); devirtualize "
-         "the per-element path"},
+         "from them in the hot modules (src/cachesim, src/kernels, "
+         "src/exec, src/graph/storage); devirtualize the "
+         "per-element path"},
         {"include-cycle",
          "the repo-local include graph must be a DAG"},
         {"include-guard",
@@ -522,9 +522,10 @@ ruleCatalogue()
          "GRAL_<PATH>_H guard"},
         {"layering",
          "src/ modules may only include modules at or below them in "
-         "the DAG common -> graph -> {reorder, cachesim} -> spmv -> "
+         "the DAG common -> graph -> {reorder, cachesim} -> "
          "{metrics, kernels} -> analysis (obs usable by all; "
-         "obs/perf above obs, granted to spmv and analysis only; "
+         "obs/perf above obs, granted to exec, kernels and analysis "
+         "only; "
          "bench/tools/tests never from src/)"},
         {"raw-assert",
          "no raw assert()/<cassert> in src/; use GRAL_CHECK/"

@@ -20,15 +20,15 @@
  *   hot-path-virtual  loop bodies — or in any function transitively
  *   hot-path-perf-read  called from a loop body, including across
  *                     TU boundaries via the program index — in the
- *                     hot modules src/cachesim, src/spmv,
- *                     src/kernels, src/exec and src/graph/storage
+ *                     hot modules src/cachesim, src/kernels,
+ *                     src/exec and src/graph/storage
  *                     (costmodel.cc, index.cc);
  *
  *   guarded-by        GRAL_GUARDED_BY field accessed outside a scope
  *                     that locks the named mutex (concurrency.cc);
  *   atomic-seq-cst    std::atomic load/store/RMW with a defaulted
  *                     memory_order_seq_cst in the lock-free hot
- *                     modules (src/obs/metrics, src/spmv,
+ *                     modules (src/obs/metrics, src/kernels,
  *                     src/cachesim);
  *
  *   check-side-effect GRAL_CHECK/GRAL_DCHECK conditions containing
@@ -102,9 +102,9 @@ const std::vector<RuleInfo> &ruleCatalogue();
  * append findings. Scoping mirrors the module layout:
  *   - src/ subtree: all convention + API-misuse rules, plus the
  *     concurrency pack (guarded-by everywhere in src/,
- *     atomic-seq-cst in src/obs/metrics, src/spmv, src/cachesim)
- *   - the hot modules (src/cachesim, src/spmv, src/kernels,
- *     src/exec, src/graph/storage): additionally the hot-path
+ *     atomic-seq-cst in src/obs/metrics, src/kernels, src/cachesim)
+ *   - the hot modules (src/cachesim, src/kernels, src/exec,
+ *     src/graph/storage): additionally the hot-path
  *     (cost-model) rules
  *   - tools/, bench/, examples/: std-endl only
  * Suppressions (`// gral-analyzer: off(rule)`) are applied here.

@@ -31,23 +31,27 @@
  * .grf binary format is refused, for reading and for writing.
  */
 
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "analysis/experiment.h"
 #include "analysis/report.h"
 #include "common/check.h"
-#include "graph/validate.h"
 #include "graph/builder_parallel.h"
 #include "graph/degree.h"
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "graph/storage/gralb.h"
 #include "graph/storage/varint.h"
+#include "graph/validate.h"
 #include "kernels/kernel.h"
+#include "kernels/spmv_kernel.h"
 #include "metrics/aid.h"
 #include "metrics/asymmetricity.h"
 #include "metrics/ecs.h"
@@ -57,7 +61,6 @@
 #include "obs/log.h"
 #include "obs/perf/backend.h"
 #include "reorder/registry.h"
-#include "spmv/trace_gen.h"
 
 using namespace gral;
 
@@ -86,6 +89,40 @@ rejectGrfPath(const std::string &path)
     if (hasSuffix(path, ".grf"))
         throw ValidationError(path + ": the .grf format is no longer "
                               "supported; use .gralb");
+}
+
+/**
+ * Parse the whole of @p text as a non-negative integer that fits T and
+ * is at most @p max. Empty text, a sign, trailing bytes and values out
+ * of range are refused.
+ * @throws std::invalid_argument naming the argument @p what.
+ */
+template <typename T>
+T
+parseCount(const char *text, const char *what,
+           T max = std::numeric_limits<T>::max())
+{
+    const char *end = text + std::strlen(text);
+    T value = 0;
+    auto [stop, status] = std::from_chars(text, end, value);
+    if (text == end || status == std::errc::invalid_argument ||
+        stop != end)
+        throw std::invalid_argument(
+            std::string(what) + ": expected a non-negative integer, "
+            "got '" + text + "'");
+    if (status == std::errc::result_out_of_range || value > max)
+        throw std::invalid_argument(std::string(what) + ": '" + text +
+                                    "' is out of range (at most " +
+                                    std::to_string(max) + ")");
+    return value;
+}
+
+/** Parse a cache size in KB whose byte count fits 64 bits. */
+std::uint64_t
+parseCacheKb(const char *text)
+{
+    return parseCount<std::uint64_t>(
+        text, "cacheKB", std::numeric_limits<std::uint64_t>::max() / 1024);
 }
 
 /** Streaming-parse chunk size: ~24 MB of parse-side state. */
@@ -238,7 +275,7 @@ cmdGenerate(int argc, char **argv)
         return 2;
     }
     std::string type = argv[0];
-    auto vertices = static_cast<VertexId>(std::atoll(argv[1]));
+    auto vertices = parseCount<VertexId>(argv[1], "vertices");
     Graph graph;
     if (type == "social") {
         SocialNetworkParams params;
@@ -420,11 +457,9 @@ cmdSimulate(int argc, char **argv)
         std::cerr << "usage: gral simulate <graph> [cacheKB]\n";
         return 2;
     }
+    std::uint64_t cache_kb = argc >= 2 ? parseCacheKb(argv[1]) : 128;
     LoadedGraph loaded = loadView(argv[0]);
     const GraphView &graph = loaded.view;
-    std::uint64_t cache_kb =
-        argc >= 2 ? static_cast<std::uint64_t>(std::atoll(argv[1]))
-                  : 128;
 
     SimulationOptions sim;
     sim.cache.sizeBytes = cache_kb * 1024;
@@ -504,14 +539,12 @@ cmdExperiment(int argc, char **argv)
         std::cerr << "\n";
         return 2;
     }
-    LoadedGraph loaded = loadView(positional[0]);
-    const GraphView &graph = loaded.view;
     std::string ra_list =
         positional.size() >= 2 ? positional[1] : "Bl,SB,GO,RO";
     std::uint64_t cache_kb =
-        positional.size() >= 3
-            ? static_cast<std::uint64_t>(std::atoll(positional[2]))
-            : 128;
+        positional.size() >= 3 ? parseCacheKb(positional[2]) : 128;
+    LoadedGraph loaded = loadView(positional[0]);
+    const GraphView &graph = loaded.view;
 
     std::vector<std::string> ras;
     for (std::size_t start = 0; start <= ra_list.size();) {
