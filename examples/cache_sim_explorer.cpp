@@ -13,14 +13,15 @@
  */
 
 #include <iostream>
+#include <vector>
 
 #include "analysis/report.h"
+#include "cachesim/cache.h"
 #include "graph/degree.h"
 #include "graph/generators.h"
 #include "kernels/spmv_kernel.h"
 #include "metrics/ecs.h"
 #include "metrics/miss_rate.h"
-#include "metrics/reuse_distance.h"
 
 using namespace gral;
 
@@ -94,25 +95,39 @@ main()
     std::cout << "\n";
 
     // Reuse-distance view of the random accesses: the
-    // policy-independent locality profile. The analyzer wants each
-    // thread's accesses in program order (not interleaved), so drain
-    // the producers one at a time through a chunk buffer.
-    ReuseDistanceAnalyzer analyzer(64);
+    // policy-independent locality profile. A fully-associative LRU
+    // cache of C lines hits exactly the accesses whose reuse distance
+    // is below C, so one single-set LRU cache per capacity gives the
+    // hit-rate curve. Each thread's accesses count in program order
+    // (not interleaved): drain the producers one at a time.
+    const std::uint64_t capacities[] = {256, 1024, 4096, 16384};
+    std::vector<Cache> fully_assoc;
+    for (std::uint64_t lines : capacities) {
+        CacheConfig config;
+        config.sizeBytes = lines * 64;
+        config.associativity = static_cast<std::uint32_t>(lines);
+        config.lineBytes = 64;
+        config.policy = ReplacementPolicy::LRU;
+        fully_assoc.emplace_back(config);
+    }
     for (auto &producer : makePullProducers(graph, trace_options)) {
         MemoryAccess buffer[1024];
         std::size_t filled;
         while ((filled = producer->fill(buffer)) > 0)
             for (std::size_t i = 0; i < filled; ++i)
                 if (buffer[i].region == AccessRegion::DataOld)
-                    analyzer.access(buffer[i].addr);
+                    for (Cache &cache : fully_assoc)
+                        cache.access(buffer[i].addr, false);
     }
     std::cout << "vertex-data reuse distances (fully-assoc LRU "
                  "oracle):\n";
     TextTable reuse_table({"capacity (lines)", "hit rate %"});
-    for (std::uint64_t lines : {256, 1024, 4096, 16384}) {
+    for (const Cache &cache : fully_assoc) {
+        const CacheStats &stats = cache.stats();
         reuse_table.addRow(
-            {formatCount(lines),
-             formatDouble(100.0 * analyzer.hitRateAtCapacity(lines),
+            {formatCount(cache.config().associativity),
+             formatDouble(100.0 * static_cast<double>(stats.hits) /
+                              static_cast<double>(stats.accesses()),
                           1)});
     }
     reuse_table.print(std::cout);

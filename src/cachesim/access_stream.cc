@@ -3,17 +3,6 @@
 namespace gral
 {
 
-std::size_t
-producerSizeHint(const ProducerSet &producers)
-{
-    std::size_t total = 0;
-    for (const std::unique_ptr<AccessProducer> &producer : producers)
-        // Once per producer at setup time, not per element.
-        // gral-analyzer: off-next-line(hot-path-virtual)
-        total += producer->sizeHint();
-    return total;
-}
-
 InterleavingScheduler::InterleavingScheduler(ProducerSet producers,
                                              std::size_t chunk_size)
     : producers_(std::move(producers)), chunkSize_(chunk_size)

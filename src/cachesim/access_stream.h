@@ -31,10 +31,11 @@ namespace gral
 {
 
 /**
- * Consumer end of the streaming pipeline: anything that observes a
- * merged access stream (cache replay, ECS scanning) implements this
- * interface. Decorator sinks wrap another sink to interpose
- * per-access work (see PeriodicScanSink).
+ * Consumer end of the streaming pipeline for custom consumers: a sink
+ * passed to InterleavingScheduler::drainTo sees every access of the
+ * merged stream, at one virtual call per access. The library's own
+ * cache replay (replayStream, interleave.h) is instead a visitor of
+ * InterleavingScheduler::forEach, inlined into the scheduler's loop.
  */
 class AccessSink
 {
@@ -66,17 +67,10 @@ class AccessProducer
      *         they see 0 or their quota is met.
      */
     virtual std::size_t fill(std::span<MemoryAccess> out) = 0;
-
-    /** Expected total stream length (0 when unknown); reservation /
-     *  reporting hint only, never a contract. */
-    virtual std::size_t sizeHint() const { return 0; }
 };
 
 /** Owning set of per-thread producers (one per simulated thread). */
 using ProducerSet = std::vector<std::unique_ptr<AccessProducer>>;
-
-/** Sum of the producers' size hints. */
-std::size_t producerSizeHint(const ProducerSet &producers);
 
 /**
  * Bounded round-robin scheduler — the paper's phase-2 interleaving

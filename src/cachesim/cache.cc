@@ -87,112 +87,43 @@ paperL1Config()
 }
 
 Cache::Cache(const CacheConfig &config)
-    : config_(validated(config)), numSets_(config.numSets()),
-      lineShift_(static_cast<std::uint32_t>(
-          std::countr_zero(static_cast<std::uint64_t>(
-              config.lineBytes)))),
+    : config_(validated(config)), ways_(config.associativity),
+      lineShift_(static_cast<std::uint32_t>(std::countr_zero(
+          static_cast<std::uint64_t>(config.lineBytes)))),
+      setShift_(static_cast<std::uint32_t>(
+          std::countr_zero(config.numSets()))),
+      setMask_(config.numSets() - 1),
       rrpvMax_(static_cast<std::uint8_t>((1u << config.rrpvBits) - 1)),
-      psel_(0), pselMax_(1023)
+      lru_(config.policy == ReplacementPolicy::LRU),
+      brripUntilLong_(config.brripEpsilon)
 {
-    lines_.assign(numSets_ * config.associativity, Line{});
-    psel_ = pselMax_ / 2;
-}
+    const std::uint64_t num_sets = config.numSets();
+    const std::uint64_t num_lines = num_sets * ways_;
+    sets_.assign(num_sets, SetState{});
+    tags_.assign(num_lines + kTagBlock - 1, 0);
+    rrpv_.assign(num_lines, 0);
+    dirty_.assign(num_lines, 0);
+    if (lru_)
+        lruStamps_.assign(num_lines, 0);
 
-std::uint64_t
-Cache::setIndex(std::uint64_t addr) const
-{
-    return (addr >> lineShift_) & (numSets_ - 1);
-}
-
-std::uint64_t
-Cache::tagOf(std::uint64_t addr) const
-{
-    return addr >> lineShift_ >> std::countr_zero(numSets_);
-}
-
-SetClass
-Cache::setClassOf(std::uint64_t set) const
-{
-    if (config_.policy != ReplacementPolicy::DRRIP)
-        return SetClass::Follower;
+    if (config.policy != ReplacementPolicy::DRRIP)
+        return;
     // Set dueling: spread leader sets evenly; even slots lead for
     // SRRIP, odd slots for BRRIP; everyone else follows PSEL.
-    std::uint64_t region = numSets_ / (config_.duelingLeaderSets * 2);
-    if (region == 0)
-        region = 1;
-    if (set % region == 0) {
-        return (set / region) % 2 == 0 ? SetClass::SrripLeader
-                                       : SetClass::BrripLeader;
-    }
-    return SetClass::Follower;
+    const std::uint64_t region = std::max<std::uint64_t>(
+        1, num_sets / (2ULL * config.duelingLeaderSets));
+    for (std::uint64_t set = 0; set < num_sets; set += region)
+        sets_[set].setClass = (set / region) % 2 == 0
+                                  ? SetClass::SrripLeader
+                                  : SetClass::BrripLeader;
 }
 
-ReplacementPolicy
-Cache::setPolicy(std::uint64_t set) const
+std::uint64_t
+Cache::accessesToNextSample() const
 {
-    if (config_.policy != ReplacementPolicy::DRRIP)
-        return config_.policy;
-    switch (setClassOf(set)) {
-      case SetClass::SrripLeader:
-        return ReplacementPolicy::SRRIP;
-      case SetClass::BrripLeader:
-        return ReplacementPolicy::BRRIP;
-      case SetClass::Follower:
-        break;
-    }
-    // PSEL counts SRRIP-leader misses upward: high PSEL means SRRIP
-    // is losing, so followers use BRRIP.
-    return psel_ > pselMax_ / 2 ? ReplacementPolicy::BRRIP
-                                : ReplacementPolicy::SRRIP;
-}
-
-Cache::Line *
-Cache::findLine(std::uint64_t set, std::uint64_t tag)
-{
-    Line *base = lines_.data() + set * config_.associativity;
-    for (std::uint32_t way = 0; way < config_.associativity; ++way)
-        if (base[way].valid && base[way].tag == tag)
-            return &base[way];
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::findLine(std::uint64_t set, std::uint64_t tag) const
-{
-    const Line *base = lines_.data() + set * config_.associativity;
-    for (std::uint32_t way = 0; way < config_.associativity; ++way)
-        if (base[way].valid && base[way].tag == tag)
-            return &base[way];
-    return nullptr;
-}
-
-Cache::Line &
-Cache::chooseVictim(std::uint64_t set, ReplacementPolicy policy)
-{
-    Line *base = lines_.data() + set * config_.associativity;
-
-    // Invalid line first.
-    for (std::uint32_t way = 0; way < config_.associativity; ++way)
-        if (!base[way].valid)
-            return base[way];
-
-    if (policy == ReplacementPolicy::LRU) {
-        Line *victim = base;
-        for (std::uint32_t way = 1; way < config_.associativity; ++way)
-            if (base[way].lruStamp < victim->lruStamp)
-                victim = &base[way];
-        return *victim;
-    }
-
-    // RRIP: evict the first line with RRPV == max, aging the whole
-    // set until one exists.
-    for (;;) {
-        for (std::uint32_t way = 0; way < config_.associativity; ++way)
-            if (base[way].rrpv >= rrpvMax_)
-                return base[way];
-        for (std::uint32_t way = 0; way < config_.associativity; ++way)
-            ++base[way].rrpv;
-    }
+    if (pselSampleEvery_ == 0)
+        return 0;
+    return pselSampleEvery_ - accessClock_ % pselSampleEvery_;
 }
 
 void
@@ -209,6 +140,7 @@ Cache::samplePsel()
         pselSampleEvery_ *= 2;
     }
     pselSamples_.push_back({accessClock_, psel_});
+    untilPselSample_ = accessesToNextSample();
 }
 
 void
@@ -219,108 +151,25 @@ Cache::enablePselSampling(std::uint64_t every, std::size_t max_samples)
     pselSamples_.clear();
     if (every != 0)
         pselSamples_.reserve(pselSampleCap_);
-}
-
-bool
-Cache::access(std::uint64_t addr, bool is_write)
-{
-    ++accessClock_;
-    std::uint64_t set = setIndex(addr);
-    std::uint64_t tag = tagOf(addr);
-    SetClass set_class = setClassOf(set);
-    CacheStats &class_stats =
-        classStats_[static_cast<std::size_t>(set_class)];
-    ReplacementPolicy policy = setPolicy(set);
-
-    if (pselSampleEvery_ != 0 &&
-        accessClock_ % pselSampleEvery_ == 0)
-        samplePsel();
-
-    if (Line *line = findLine(set, tag)) {
-        ++stats_.hits;
-        ++class_stats.hits;
-        line->lruStamp = accessClock_;
-        line->rrpv = 0; // RRIP hit-priority: promote to near
-        line->dirty = line->dirty || is_write;
-        return true;
-    }
-
-    ++stats_.misses;
-    ++class_stats.misses;
-
-    // Update the DRRIP duel on leader-set misses.
-    if (set_class == SetClass::SrripLeader) {
-        if (psel_ < pselMax_)
-            ++psel_;
-    } else if (set_class == SetClass::BrripLeader) {
-        if (psel_ > 0)
-            --psel_;
-    }
-
-    Line &victim = chooseVictim(set, policy);
-    if (victim.valid) {
-        ++stats_.evictions;
-        ++class_stats.evictions;
-        if (victim.dirty) {
-            ++stats_.writebacks;
-            ++class_stats.writebacks;
-        }
-    }
-    victim.valid = true;
-    victim.tag = tag;
-    victim.dirty = is_write;
-    victim.lruStamp = accessClock_;
-
-    switch (policy) {
-      case ReplacementPolicy::LRU:
-        victim.rrpv = 0;
-        break;
-      case ReplacementPolicy::SRRIP:
-        // Insert with "long" re-reference interval (max - 1).
-        victim.rrpv = static_cast<std::uint8_t>(rrpvMax_ - 1);
-        break;
-      case ReplacementPolicy::BRRIP:
-        // Mostly distant; long with probability 1/epsilon.
-        ++brripCounter_;
-        victim.rrpv =
-            (brripCounter_ % config_.brripEpsilon == 0)
-                ? static_cast<std::uint8_t>(rrpvMax_ - 1)
-                : rrpvMax_;
-        break;
-      case ReplacementPolicy::DRRIP:
-        // Unreachable: setPolicy resolves DRRIP to SRRIP/BRRIP.
-        victim.rrpv = static_cast<std::uint8_t>(rrpvMax_ - 1);
-        break;
-    }
-    return false;
-}
-
-bool
-Cache::accessRange(std::uint64_t addr, std::uint32_t size, bool is_write)
-{
-    std::uint64_t first = addr >> lineShift_;
-    std::uint64_t last = (addr + std::max<std::uint32_t>(size, 1) - 1) >>
-                         lineShift_;
-    bool all_hit = true;
-    for (std::uint64_t line = first; line <= last; ++line)
-        all_hit &= access(line << lineShift_, is_write);
-    return all_hit;
+    untilPselSample_ = accessesToNextSample();
 }
 
 bool
 Cache::contains(std::uint64_t addr) const
 {
-    return findLine(setIndex(addr), tagOf(addr)) != nullptr;
+    const std::uint64_t line = addr >> lineShift_;
+    return findWay(line & setMask_, line >> setShift_) != ways_;
 }
 
 void
 Cache::flush()
 {
-    for (Line &line : lines_)
-        line = Line{};
-    psel_ = pselMax_ / 2;
-    brripCounter_ = 0;
+    for (SetState &state : sets_)
+        state.filled = 0;
+    psel_ = kPselMax / 2;
+    brripUntilLong_ = config_.brripEpsilon;
     accessClock_ = 0;
+    untilPselSample_ = accessesToNextSample();
 }
 
 void
@@ -336,8 +185,8 @@ std::uint64_t
 Cache::numValidLines() const
 {
     std::uint64_t count = 0;
-    for (const Line &line : lines_)
-        count += line.valid ? 1 : 0;
+    for (const SetState &state : sets_)
+        count += state.filled;
     return count;
 }
 
@@ -345,16 +194,10 @@ void
 Cache::forEachValidLine(
     const std::function<void(std::uint64_t)> &visit) const
 {
-    std::uint64_t set_bits = std::countr_zero(numSets_);
-    for (std::uint64_t set = 0; set < numSets_; ++set) {
-        const Line *base = lines_.data() + set * config_.associativity;
-        for (std::uint32_t way = 0; way < config_.associativity; ++way) {
-            if (base[way].valid) {
-                std::uint64_t addr =
-                    ((base[way].tag << set_bits) | set) << lineShift_;
-                visit(addr);
-            }
-        }
+    for (std::uint64_t set = 0; set < sets_.size(); ++set) {
+        const std::uint64_t *tags = tags_.data() + set * ways_;
+        for (std::uint32_t way = 0; way < sets_[set].filled; ++way)
+            visit(((tags[way] << setShift_) | set) << lineShift_);
     }
 }
 

@@ -12,6 +12,8 @@
 #ifndef GRAL_CACHESIM_CACHE_H
 #define GRAL_CACHESIM_CACHE_H
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -120,6 +122,15 @@ struct CacheStats
 /**
  * A single-level set-associative cache.
  *
+ * State is flat and set-major: way w of set s lives at index
+ * s * associativity + w of each per-way array (tags, RRPVs, dirty
+ * bits, and LRU stamps, which exist only under LRU). A miss always
+ * fills the first invalid way and only flush() invalidates, so the
+ * valid ways of a set are the prefix [0, filled) and need no per-way
+ * valid bit. A per-set table built in the constructor holds that fill
+ * count and the set's dueling class, so an access costs two shifts
+ * and a mask, never a division.
+ *
  * Not thread-safe: the paper serializes parallel traces through one
  * model via round-robin interleaving (Section V-B), which is what the
  * InterleavingScheduler provides.
@@ -175,7 +186,7 @@ class Cache
     std::uint32_t pselValue() const { return psel_; }
 
     /** Largest representable PSEL value. */
-    std::uint32_t pselMax() const { return pselMax_; }
+    std::uint32_t pselMax() const { return kPselMax; }
 
     /**
      * Record a PselSample every @p every accesses (0 disables), at
@@ -203,46 +214,241 @@ class Cache
     }
 
   private:
-    struct Line
+    /** 10-bit DRRIP policy selector; followers use BRRIP above half. */
+    static constexpr std::uint32_t kPselMax = 1023;
+
+    /** Ways findWay compares per step; tags_ carries kTagBlock - 1
+     *  padding entries so a step never reads past its end. */
+    static constexpr std::uint32_t kTagBlock = 8;
+
+    /** Per-set table entry. */
+    struct SetState
     {
-        std::uint64_t tag = 0;
-        std::uint64_t lruStamp = 0;
-        std::uint8_t rrpv = 0;
-        bool valid = false;
-        bool dirty = false;
+        /** Valid ways: [0, filled). */
+        std::uint32_t filled = 0;
+        SetClass setClass = SetClass::Follower;
     };
 
-    std::uint64_t setIndex(std::uint64_t addr) const;
-    std::uint64_t tagOf(std::uint64_t addr) const;
+    /** Way of @p set holding @p tag, or associativity when absent. */
+    std::uint32_t findWay(std::uint64_t set, std::uint64_t tag) const;
 
-    /** Set-dueling role of @p set. */
-    SetClass setClassOf(std::uint64_t set) const;
+    /** Miss path: update the duel, pick a way, install @p tag. */
+    void install(std::uint64_t set, std::uint64_t tag, bool is_write);
 
-    /** Which policy governs @p set under DRRIP dueling. */
-    ReplacementPolicy setPolicy(std::uint64_t set) const;
+    /** First way holding the oldest LRU stamp of a full set. */
+    std::uint32_t lruVictim(std::size_t base) const;
 
-    /** Push one PSEL sample, decimating on overflow. */
+    /** Age a full set once, by max minus its largest RRPV, and return
+     *  its first way at max. */
+    std::uint32_t rripVictim(std::size_t base);
+
+    /** RRPV of a line installed under @p policy. */
+    std::uint8_t insertionRrpv(ReplacementPolicy policy);
+
+    /** Push one PSEL sample, decimating on overflow, and count down
+     *  to the next one. */
     void samplePsel();
 
-    Line *findLine(std::uint64_t set, std::uint64_t tag);
-    const Line *findLine(std::uint64_t set, std::uint64_t tag) const;
-    Line &chooseVictim(std::uint64_t set, ReplacementPolicy policy);
+    /** Accesses until the clock next reaches a multiple of the sample
+     *  interval (0 = sampling off). */
+    std::uint64_t accessesToNextSample() const;
 
     CacheConfig config_;
-    std::uint64_t numSets_;
+    std::uint32_t ways_;
     std::uint32_t lineShift_;
+    std::uint32_t setShift_;
+    std::uint64_t setMask_;
     std::uint8_t rrpvMax_;
-    std::vector<Line> lines_; // set-major: lines_[set * ways + way]
+    bool lru_;
+    std::vector<SetState> sets_;
+    std::vector<std::uint64_t> tags_;
+    std::vector<std::uint8_t> rrpv_;
+    std::vector<std::uint8_t> dirty_;
+    std::vector<std::uint64_t> lruStamps_; // empty unless LRU
     CacheStats stats_;
-    std::uint64_t accessClock_ = 0;
-    std::uint32_t psel_;          // DRRIP policy selector
-    std::uint32_t pselMax_;
-    std::uint64_t brripCounter_ = 0;
     CacheStats classStats_[kNumSetClasses];
+    std::uint64_t accessClock_ = 0;
+    std::uint32_t psel_ = kPselMax / 2;
+    /** BRRIP insertions until the next one at max-1. */
+    std::uint32_t brripUntilLong_;
     std::vector<PselSample> pselSamples_;
     std::uint64_t pselSampleEvery_ = 0; // 0 = sampling disabled
     std::size_t pselSampleCap_ = 0;
+    /** Accesses until the next PSEL sample (0 = sampling disabled). */
+    std::uint64_t untilPselSample_ = 0;
 };
+
+inline std::uint32_t
+Cache::findWay(std::uint64_t set, std::uint64_t tag) const
+{
+    // Compare a fixed block of ways into a bit mask, then branch once:
+    // which way hits is data-dependent, so a per-way early exit would
+    // mispredict often. A block may run past the set's valid ways
+    // (into the next set, or the tag array's padding); the mask drops
+    // those lanes.
+    const std::uint64_t *tags = tags_.data() + set * ways_;
+    const std::uint32_t filled = sets_[set].filled;
+    for (std::uint32_t block = 0; block < filled; block += kTagBlock) {
+        const std::uint64_t *lanes = tags + block;
+        std::uint32_t match = 0;
+        for (std::uint32_t i = 0; i < kTagBlock; ++i)
+            match |= std::uint32_t{lanes[i] == tag} << i;
+        const std::uint32_t valid = filled - block;
+        if (valid < kTagBlock)
+            match &= (1u << valid) - 1;
+        if (match != 0)
+            return block + static_cast<std::uint32_t>(std::countr_zero(match));
+    }
+    return ways_;
+}
+
+inline std::uint32_t
+Cache::lruVictim(std::size_t base) const
+{
+    const std::uint64_t *stamps = lruStamps_.data() + base;
+    std::uint32_t victim = 0;
+    for (std::uint32_t way = 1; way < ways_; ++way)
+        if (stamps[way] < stamps[victim])
+            victim = way;
+    return victim;
+}
+
+inline std::uint32_t
+Cache::rripVictim(std::size_t base)
+{
+    // Aging one step at a time until some line reaches max ends with
+    // every line raised by max - top, and the victim is the first way
+    // that held top. Members are read into locals first: the byte
+    // stores below may alias them.
+    std::uint8_t *rrpv = rrpv_.data() + base;
+    const std::uint32_t ways = ways_;
+    const std::uint8_t max = rrpvMax_;
+    std::uint32_t victim = 0;
+    std::uint8_t top = rrpv[0];
+    for (std::uint32_t way = 1; way < ways; ++way) {
+        if (rrpv[way] > top) {
+            top = rrpv[way];
+            victim = way;
+        }
+    }
+    if (top != max) {
+        const auto age = static_cast<std::uint8_t>(max - top);
+        for (std::uint32_t way = 0; way < ways; ++way)
+            rrpv[way] = static_cast<std::uint8_t>(rrpv[way] + age);
+    }
+    return victim;
+}
+
+inline std::uint8_t
+Cache::insertionRrpv(ReplacementPolicy policy)
+{
+    switch (policy) {
+      case ReplacementPolicy::LRU:
+        return 0;
+      case ReplacementPolicy::BRRIP:
+        // Mostly distant; every epsilon-th BRRIP insertion is long.
+        if (--brripUntilLong_ != 0)
+            return rrpvMax_;
+        brripUntilLong_ = config_.brripEpsilon;
+        return static_cast<std::uint8_t>(rrpvMax_ - 1);
+      case ReplacementPolicy::SRRIP:
+      case ReplacementPolicy::DRRIP:
+        break;
+    }
+    // SRRIP: "long" re-reference interval. DRRIP never reaches here
+    // unresolved: install() maps it to SRRIP or BRRIP per set.
+    return static_cast<std::uint8_t>(rrpvMax_ - 1);
+}
+
+inline void
+Cache::install(std::uint64_t set, std::uint64_t tag, bool is_write)
+{
+    SetState &state = sets_[set];
+    CacheStats &class_stats =
+        classStats_[static_cast<std::size_t>(state.setClass)];
+    ++stats_.misses;
+    ++class_stats.misses;
+
+    // Leader misses move the duel; PSEL counts SRRIP-leader misses
+    // upward, so high PSEL means SRRIP is losing and followers switch
+    // to BRRIP.
+    ReplacementPolicy policy = config_.policy;
+    switch (state.setClass) {
+      case SetClass::SrripLeader:
+        policy = ReplacementPolicy::SRRIP;
+        if (psel_ < kPselMax)
+            ++psel_;
+        break;
+      case SetClass::BrripLeader:
+        policy = ReplacementPolicy::BRRIP;
+        if (psel_ > 0)
+            --psel_;
+        break;
+      case SetClass::Follower:
+        if (policy == ReplacementPolicy::DRRIP)
+            policy = psel_ > kPselMax / 2 ? ReplacementPolicy::BRRIP
+                                          : ReplacementPolicy::SRRIP;
+        break;
+    }
+
+    const std::size_t base = set * ways_;
+    std::uint32_t way = state.filled;
+    if (way < ways_) {
+        ++state.filled;
+    } else {
+        way = policy == ReplacementPolicy::LRU ? lruVictim(base)
+                                               : rripVictim(base);
+        ++stats_.evictions;
+        ++class_stats.evictions;
+        if (dirty_[base + way] != 0) {
+            ++stats_.writebacks;
+            ++class_stats.writebacks;
+        }
+    }
+    const std::size_t slot = base + way;
+    tags_[slot] = tag;
+    dirty_[slot] = is_write ? 1 : 0;
+    rrpv_[slot] = insertionRrpv(policy);
+    if (lru_)
+        lruStamps_[slot] = accessClock_;
+}
+
+inline bool
+Cache::access(std::uint64_t addr, bool is_write)
+{
+    ++accessClock_;
+    if (untilPselSample_ != 0 && --untilPselSample_ == 0)
+        samplePsel();
+
+    const std::uint64_t line = addr >> lineShift_;
+    const std::uint64_t set = line & setMask_;
+    const std::uint64_t tag = line >> setShift_;
+    const std::uint32_t way = findWay(set, tag);
+    if (way == ways_) {
+        install(set, tag, is_write);
+        return false;
+    }
+    ++stats_.hits;
+    ++classStats_[static_cast<std::size_t>(sets_[set].setClass)].hits;
+    const std::size_t slot = set * ways_ + way;
+    rrpv_[slot] = 0; // RRIP hit-priority: promote to near
+    dirty_[slot] |= is_write ? 1 : 0;
+    if (lru_)
+        lruStamps_[slot] = accessClock_;
+    return true;
+}
+
+inline bool
+Cache::accessRange(std::uint64_t addr, std::uint32_t size, bool is_write)
+{
+    const std::uint64_t first = addr >> lineShift_;
+    const std::uint64_t last =
+        (addr + std::max<std::uint32_t>(size, 1) - 1) >> lineShift_;
+    bool all_hit = true;
+    for (std::uint64_t line = first; line <= last; ++line)
+        all_hit &= access(line << lineShift_, is_write);
+    return all_hit;
+}
 
 } // namespace gral
 

@@ -10,15 +10,14 @@
  *
  * Phase 2 is implemented by InterleavingScheduler (access_stream.h),
  * which pulls fixed-size chunks from resumable per-thread producers.
- * This header provides the replay sinks that drive the cache/TLB
+ * This header provides replayStream, which drives the cache/TLB
  * models from that stream.
  */
 
 #ifndef GRAL_CACHESIM_INTERLEAVE_H
 #define GRAL_CACHESIM_INTERLEAVE_H
 
-#include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <utility>
 
 #include "cachesim/access_stream.h"
@@ -55,128 +54,24 @@ struct ReplayResult
 };
 
 /**
- * Replay sink: drives the (usually L3) cache model and optional TLB
- * from the merged stream, counting accesses. Subclasses observe
- * per-access outcomes through onOutcome().
- */
-class CacheReplaySink : public AccessSink
-{
-  public:
-    explicit CacheReplaySink(Cache &cache, Tlb *tlb = nullptr)
-        : cache_(cache), tlb_(tlb)
-    {
-    }
-
-    void
-    consume(const MemoryAccess &access) final
-    {
-        AccessOutcome outcome;
-        outcome.cacheHit =
-            cache_.accessRange(access.addr, access.size,
-                               access.isWrite);
-        if (tlb_)
-            outcome.tlbHit = tlb_->access(access.addr);
-        ++accessCount_;
-        onOutcome(access, outcome);
-    }
-
-    /** Accesses replayed so far. */
-    std::uint64_t accessCount() const { return accessCount_; }
-
-    /** The driven cache model. */
-    const Cache &cache() const { return cache_; }
-
-  protected:
-    /** Hook invoked after every access with its hit/miss outcome. */
-    virtual void
-    onOutcome(const MemoryAccess &access, const AccessOutcome &outcome)
-    {
-        (void)access;
-        (void)outcome;
-    }
-
-  private:
-    Cache &cache_;
-    Tlb *tlb_;
-    std::uint64_t accessCount_ = 0;
-};
-
-/**
- * Sink decorator implementing the paper's periodic cache-content scan
- * (Section VI-F, the ECS measurement): forwards every access to the
- * wrapped sink and invokes @p on_scan with the cache after every
- * @p scan_every accesses.
- */
-class PeriodicScanSink final : public AccessSink
-{
-  public:
-    PeriodicScanSink(AccessSink &inner, const Cache &cache,
-                     std::uint64_t scan_every,
-                     std::function<void(const Cache &)> on_scan)
-        : inner_(inner), cache_(cache), scanEvery_(scan_every),
-          untilScan_(scan_every), onScan_(std::move(on_scan))
-    {
-    }
-
-    void
-    consume(const MemoryAccess &access) override
-    {
-        inner_.consume(access);
-        if (scanEvery_ > 0 && --untilScan_ == 0) {
-            onScan_(cache_);
-            untilScan_ = scanEvery_;
-        }
-    }
-
-  private:
-    AccessSink &inner_;
-    const Cache &cache_;
-    std::uint64_t scanEvery_;
-    std::uint64_t untilScan_;
-    std::function<void(const Cache &)> onScan_;
-};
-
-namespace detail
-{
-
-/** CacheReplaySink forwarding outcomes to a caller-supplied hook. */
-template <typename OnAccess>
-class HookedReplaySink final : public CacheReplaySink
-{
-  public:
-    HookedReplaySink(Cache &cache, Tlb *tlb, OnAccess &hook)
-        : CacheReplaySink(cache, tlb), hook_(hook)
-    {
-    }
-
-  protected:
-    void
-    onOutcome(const MemoryAccess &access,
-              const AccessOutcome &outcome) override
-    {
-        hook_(access, outcome);
-    }
-
-  private:
-    OnAccess &hook_;
-};
-
-} // namespace detail
-
-/**
  * Replay a streamed interleaving through a cache (and optional TLB).
  *
- * Resident trace memory is the scheduler's chunk buffer,
+ * The per-access work is one visitor of InterleavingScheduler::forEach,
+ * a template instantiated per hook pair, so the cache, the TLB and
+ * both hooks inline into the scheduler's loop with no virtual call per
+ * access. Resident trace memory is the scheduler's chunk buffer,
  * O(numProducers + chunkSize), not O(E).
  *
  * @param scheduler  interleaving over live producers (single-use).
  * @param cache      the (usually L3) model; stats accumulate into it.
  * @param tlb        optional TLB model.
- * @param on_access  callable (const MemoryAccess &, AccessOutcome);
- *                   pass a no-op lambda when not needed.
+ * @param on_access  callable (const MemoryAccess &, AccessOutcome),
+ *                   invoked after the models saw the access; pass a
+ *                   no-op lambda when not needed.
  * @param scan_every when > 0, @p on_scan is invoked with the cache
  *                   after every @p scan_every accesses (the paper's
- *                   periodic cache-content scan for ECS).
+ *                   periodic cache-content scan for ECS, Section
+ *                   VI-F), after that access's @p on_access.
  * @param on_scan    callable (const Cache &).
  */
 template <typename OnAccess, typename OnScan>
@@ -185,21 +80,27 @@ replayStream(InterleavingScheduler &scheduler, Cache &cache, Tlb *tlb,
              OnAccess &&on_access, std::uint64_t scan_every,
              OnScan &&on_scan)
 {
-    detail::HookedReplaySink<OnAccess> sink(cache, tlb, on_access);
-    if (scan_every > 0) {
-        PeriodicScanSink scanner(
-            sink, cache, scan_every,
-            [&](const Cache &snapshot) { on_scan(snapshot); });
-        scheduler.drainTo(scanner);
-    } else {
-        scheduler.drainTo(sink);
-    }
+    std::uint64_t replayed = 0;
+    std::uint64_t until_scan = scan_every;
+    scheduler.forEach([&](const MemoryAccess &access) {
+        AccessOutcome outcome;
+        outcome.cacheHit =
+            cache.accessRange(access.addr, access.size, access.isWrite);
+        if (tlb != nullptr)
+            outcome.tlbHit = tlb->access(access.addr);
+        ++replayed;
+        on_access(access, outcome);
+        if (until_scan != 0 && --until_scan == 0) {
+            on_scan(std::as_const(cache));
+            until_scan = scan_every;
+        }
+    });
 
     ReplayResult result;
-    result.accessCount = sink.accessCount();
+    result.accessCount = replayed;
     result.peakResidentAccesses = scheduler.peakResidentAccesses();
     result.cache = cache.stats();
-    if (tlb)
+    if (tlb != nullptr)
         result.tlb = tlb->stats();
     return result;
 }

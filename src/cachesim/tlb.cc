@@ -1,5 +1,6 @@
 #include "cachesim/tlb.h"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -27,60 +28,49 @@ tlb2mConfig()
 }
 
 Tlb::Tlb(const TlbConfig &config)
-    : config_(config),
-      numSets_(config.associativity == 0
-                   ? 0
-                   : config.entries / config.associativity),
+    : config_(config), ways_(config.associativity),
       pageShift_(static_cast<std::uint32_t>(
           std::countr_zero(config.pageBytes)))
 {
+    const std::uint64_t num_sets =
+        ways_ == 0 ? 0 : config.entries / ways_;
     if (config.pageBytes == 0 || !std::has_single_bit(config.pageBytes))
         throw std::invalid_argument("Tlb: page size not a power of 2");
-    if (config.associativity == 0 || numSets_ == 0 ||
-        !std::has_single_bit(numSets_))
+    if (ways_ == 0 || num_sets == 0 || !std::has_single_bit(num_sets))
         throw std::invalid_argument(
             "Tlb: set count must be a nonzero power of 2");
-    entries_.assign(numSets_ * config.associativity, Entry{});
+    setMask_ = num_sets - 1;
+    vpns_.assign(num_sets * ways_, 0);
+    filled_.assign(num_sets, 0);
 }
 
 bool
-Tlb::access(std::uint64_t addr)
+Tlb::accessBehindFront(std::uint64_t vpn, std::uint64_t set)
 {
-    ++clock_;
-    std::uint64_t vpn = addr >> pageShift_;
-    std::uint64_t set = vpn & (numSets_ - 1);
-    Entry *base = entries_.data() + set * config_.associativity;
-
-    for (std::uint32_t way = 0; way < config_.associativity; ++way) {
-        if (base[way].valid && base[way].vpn == vpn) {
-            ++stats_.hits;
-            base[way].lruStamp = clock_;
-            return true;
-        }
+    std::uint64_t *vpns = vpns_.data() + set * ways_;
+    std::uint32_t &filled = filled_[set];
+    std::uint32_t way = 1;
+    while (way < filled && vpns[way] != vpn)
+        ++way;
+    const bool hit = way < filled;
+    if (hit) {
+        ++stats_.hits;
+    } else {
+        ++stats_.misses;
+        // A full set drops its least recently used page (the back).
+        if (filled < ways_)
+            ++filled;
+        way = filled - 1;
     }
-
-    ++stats_.misses;
-    Entry *victim = base;
-    for (std::uint32_t way = 0; way < config_.associativity; ++way) {
-        if (!base[way].valid) {
-            victim = &base[way];
-            break;
-        }
-        if (base[way].lruStamp < victim->lruStamp)
-            victim = &base[way];
-    }
-    victim->valid = true;
-    victim->vpn = vpn;
-    victim->lruStamp = clock_;
-    return false;
+    std::copy_backward(vpns, vpns + way, vpns + way + 1);
+    vpns[0] = vpn;
+    return hit;
 }
 
 void
 Tlb::flush()
 {
-    for (Entry &entry : entries_)
-        entry = Entry{};
-    clock_ = 0;
+    std::fill(filled_.begin(), filled_.end(), 0);
 }
 
 void

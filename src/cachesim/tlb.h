@@ -53,7 +53,16 @@ struct TlbStats
     }
 };
 
-/** Set-associative LRU TLB. */
+/**
+ * Set-associative LRU TLB.
+ *
+ * Flat, set-major state like Cache's. Each set keeps its valid page
+ * numbers in recency order: way 0 holds the most recently used page
+ * and the last valid way the least recently used one. A hit moves its
+ * page to the front and a miss evicts the back, which is true LRU
+ * without per-entry stamps; the common hit on the most recent page of
+ * a set costs one compare.
+ */
 class Tlb
 {
   public:
@@ -76,20 +85,31 @@ class Tlb
     const TlbConfig &config() const { return config_; }
 
   private:
-    struct Entry
-    {
-        std::uint64_t vpn = 0;
-        std::uint64_t lruStamp = 0;
-        bool valid = false;
-    };
+    /** Hit below the front or miss: reorder the set and count. */
+    bool accessBehindFront(std::uint64_t vpn, std::uint64_t set);
 
     TlbConfig config_;
-    std::uint64_t numSets_;
+    std::uint32_t ways_;
     std::uint32_t pageShift_;
-    std::vector<Entry> entries_;
+    std::uint64_t setMask_;
+    /** Page numbers, set-major, most recent first within a set. */
+    std::vector<std::uint64_t> vpns_;
+    /** Valid ways per set: [0, filled). */
+    std::vector<std::uint32_t> filled_;
     TlbStats stats_;
-    std::uint64_t clock_ = 0;
 };
+
+inline bool
+Tlb::access(std::uint64_t addr)
+{
+    const std::uint64_t vpn = addr >> pageShift_;
+    const std::uint64_t set = vpn & setMask_;
+    if (filled_[set] != 0 && vpns_[set * ways_] == vpn) {
+        ++stats_.hits;
+        return true;
+    }
+    return accessBehindFront(vpn, set);
+}
 
 } // namespace gral
 

@@ -23,10 +23,9 @@ class CcTraceProducer final : public AccessProducer
     CcTraceProducer(
         const GraphView &graph,
         std::span<const std::vector<std::uint8_t>> changed,
-        VertexRange range, EdgeId range_edges,
-        const TraceOptions &options)
+        VertexRange range, const TraceOptions &options)
         : graph_(graph), changed_(changed), options_(options),
-          range_(range), rangeEdges_(range_edges), v_(range.begin)
+          range_(range), v_(range.begin)
     {
     }
 
@@ -37,20 +36,6 @@ class CcTraceProducer final : public AccessProducer
         while (n < out.size() && next(out[n]))
             ++n;
         return n;
-    }
-
-    std::size_t
-    sizeHint() const override
-    {
-        // Both directions cover all edges once per sweep; per-vertex:
-        // own read, two offsets loads, and at most one store.
-        std::size_t per_edge = 1 + (options_.traceEdges ? 1 : 0);
-        std::size_t per_vertex =
-            2 + (options_.traceOffsets ? 2 : 0);
-        std::size_t per_sweep =
-            static_cast<std::size_t>(rangeEdges_) * 2 * per_edge +
-            static_cast<std::size_t>(range_.size()) * per_vertex;
-        return per_sweep * changed_.size();
     }
 
   private:
@@ -174,7 +159,6 @@ class CcTraceProducer final : public AccessProducer
     std::span<const std::vector<std::uint8_t>> changed_;
     TraceOptions options_;
     VertexRange range_;
-    EdgeId rangeEdges_;
     std::size_t sweep_ = 0;
     VertexId v_;
     std::span<const VertexId> neighbours_;
@@ -277,8 +261,7 @@ CcKernel::buildProducers(const GraphView &graph,
         // One producer per partition at trace setup, not per access.
         // gral-analyzer: off(hot-path-alloc)
         producers.push_back(std::make_unique<CcTraceProducer>(
-            graph, changed_, range,
-            edgesInRange(graph, Direction::In, range), options));
+            graph, changed_, range, options));
     }
     return producers;
 }

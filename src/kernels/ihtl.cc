@@ -136,24 +136,6 @@ class IhtlTraceProducer final : public AccessProducer
         return n;
     }
 
-    std::size_t
-    sizeHint() const override
-    {
-        std::size_t per_edge = 1 + (options_.traceEdges ? 1 : 0);
-        EdgeId flipped_edges = flipped_.offsets()[end_] -
-                               flipped_.offsets()[begin_];
-        EdgeId sparse_edges =
-            sparse_.offsets()[end_] - sparse_.offsets()[begin_];
-        std::size_t non_hubs = 0;
-        for (VertexId v = begin_; v < end_; ++v)
-            non_hubs += hubIndex_[v] == kInvalidVertex ? 1 : 0;
-        return static_cast<std::size_t>(flipped_edges + sparse_edges) *
-                   per_edge +
-               static_cast<std::size_t>(end_ - begin_) + // own loads
-               non_hubs *
-                   (1 + (options_.traceOffsets ? 1 : 0)); // pull part
-    }
-
   private:
     enum class Stage : std::uint8_t
     {

@@ -22,11 +22,9 @@ class PageRankTraceProducer final : public AccessProducer
 {
   public:
     PageRankTraceProducer(const AdjacencyView &adj, unsigned iterations,
-                          VertexRange range, EdgeId range_edges,
-                          const TraceOptions &options)
+                          VertexRange range, const TraceOptions &options)
         : adj_(adj), options_(options), range_(range),
-          rangeEdges_(range_edges), iterations_(iterations),
-          v_(range.begin)
+          iterations_(iterations), v_(range.begin)
     {
     }
 
@@ -37,17 +35,6 @@ class PageRankTraceProducer final : public AccessProducer
         while (n < out.size() && next(out[n]))
             ++n;
         return n;
-    }
-
-    std::size_t
-    sizeHint() const override
-    {
-        std::size_t per_edge = 1 + (options_.traceEdges ? 1 : 0);
-        std::size_t per_vertex = 2 + (options_.traceOffsets ? 1 : 0);
-        std::size_t per_sweep =
-            static_cast<std::size_t>(rangeEdges_) * per_edge +
-            static_cast<std::size_t>(range_.size()) * per_vertex;
-        return per_sweep * iterations_;
     }
 
   private:
@@ -142,7 +129,6 @@ class PageRankTraceProducer final : public AccessProducer
     AdjacencyView adj_;
     TraceOptions options_;
     VertexRange range_;
-    EdgeId rangeEdges_;
     unsigned iterations_;
     unsigned iteration_ = 0;
     VertexId v_;
@@ -252,8 +238,7 @@ PageRankKernel::buildProducers(const GraphView &graph,
         // One producer per partition at trace setup, not per access.
         // gral-analyzer: off(hot-path-alloc)
         producers.push_back(std::make_unique<PageRankTraceProducer>(
-            graph.in(), iterations, range,
-            edgesInRange(graph, Direction::In, range), options));
+            graph.in(), iterations, range, options));
     }
     return producers;
 }

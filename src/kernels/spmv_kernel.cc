@@ -51,10 +51,9 @@ class SpmvTraceProducer final : public AccessProducer
 {
   public:
     SpmvTraceProducer(const AdjacencyView &adj, AccessPhase phase,
-                      VertexRange range, EdgeId range_edges,
-                      const TraceOptions &options)
-        : adj_(adj), options_(options), range_(range),
-          rangeEdges_(range_edges), phase_(phase), v_(range.begin)
+                      VertexRange range, const TraceOptions &options)
+        : adj_(adj), options_(options), range_(range), phase_(phase),
+          v_(range.begin)
     {
     }
 
@@ -65,15 +64,6 @@ class SpmvTraceProducer final : public AccessProducer
         while (n < out.size() && next(out[n]))
             ++n;
         return n;
-    }
-
-    std::size_t
-    sizeHint() const override
-    {
-        std::size_t per_edge = 1 + (options_.traceEdges ? 1 : 0);
-        std::size_t per_vertex = 1 + (options_.traceOffsets ? 1 : 0);
-        return static_cast<std::size_t>(rangeEdges_) * per_edge +
-               static_cast<std::size_t>(range_.size()) * per_vertex;
     }
 
   private:
@@ -143,7 +133,6 @@ class SpmvTraceProducer final : public AccessProducer
     AdjacencyView adj_;
     TraceOptions options_;
     VertexRange range_;
-    EdgeId rangeEdges_;
     AccessPhase phase_;
     VertexId v_;
     std::span<const VertexId> neighbours_;
@@ -181,8 +170,7 @@ makeReadSumProducers(const GraphView &graph, Direction direction,
         // One producer per partition at trace setup, not per access.
         // gral-analyzer: off(hot-path-alloc)
         producers.push_back(std::make_unique<SpmvTraceProducer>(
-            adj, phase, range, edgesInRange(graph, direction, range),
-            options));
+            adj, phase, range, options));
     }
     return producers;
 }

@@ -17,13 +17,14 @@ effectiveCacheSize(ProducerSet producers, const AddressMap &map,
     double ecs_sum = 0.0;
     double topo_sum = 0.0;
 
-    // The scan sink decorates the plain replay sink: every scanEvery
-    // accesses it walks the cache contents and classifies each valid
-    // line by the region of its address.
-    CacheReplaySink replay_sink(cache);
-    PeriodicScanSink scan_sink(
-        replay_sink, cache, options.scanEvery,
-        [&](const Cache &snapshot) {
+    // Every scanEvery accesses, walk the cache contents and classify
+    // each valid line by the region of its address.
+    InterleavingScheduler scheduler(std::move(producers),
+                                    options.chunkSize);
+    ReplayResult replayed = replayStream(
+        scheduler, cache, nullptr,
+        [](const MemoryAccess &, const AccessOutcome &) {},
+        options.scanEvery, [&](const Cache &snapshot) {
             std::uint64_t data_lines = 0;
             std::uint64_t topology_lines = 0;
             snapshot.forEachValidLine([&](std::uint64_t line_addr) {
@@ -47,19 +48,15 @@ effectiveCacheSize(ProducerSet producers, const AddressMap &map,
             ++result.scans;
         });
 
-    InterleavingScheduler scheduler(std::move(producers),
-                                    options.chunkSize);
-    scheduler.drainTo(scan_sink);
-
     if (result.scans > 0) {
         result.avgEcsPercent =
             ecs_sum / static_cast<double>(result.scans);
         result.avgTopologyPercent =
             topo_sum / static_cast<double>(result.scans);
     }
-    result.cache = cache.stats();
-    result.totalAccesses = replay_sink.accessCount();
-    result.peakResidentAccesses = scheduler.peakResidentAccesses();
+    result.cache = replayed.cache;
+    result.totalAccesses = replayed.accessCount;
+    result.peakResidentAccesses = replayed.peakResidentAccesses;
     return result;
 }
 

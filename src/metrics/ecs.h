@@ -60,8 +60,8 @@ struct EcsResult
 
 /**
  * Replay @p producers and measure the effective cache size. The
- * stream goes through a CacheReplaySink wrapped in a
- * PeriodicScanSink and is never materialized.
+ * stream goes through replayStream with a periodic scan hook and is
+ * never materialized.
  *
  * @param producers instrumented traversal streams (consumed).
  * @param map       the address layout the producers emit in

@@ -25,7 +25,8 @@ TraceRecorder::localBuffer()
         auto buffer = std::make_shared<ThreadBuffer>();
         std::lock_guard lock(mutex_);
         buffer->tid = nextTid_++;
-        buffer->events.reserve(std::min<std::size_t>(capacity_, 1024));
+        // No up-front reserve: the buffer outlives its thread, and
+        // short-lived pool workers each record only a span or two.
         buffers_.push_back(buffer);
         return buffer;
     }();

@@ -155,7 +155,6 @@ TEST(VectorAdapters, RoundTrip)
 {
     ThreadTrace trace = {at(1), at(2), at(3), at(4), at(5)};
     VectorProducer producer(trace);
-    EXPECT_EQ(producer.sizeHint(), 5u);
     ThreadTrace copy = drainProducer(producer);
     EXPECT_EQ(addrsOf(copy), addrsOf(trace));
     // Exhausted: further fills return 0.
@@ -207,26 +206,6 @@ TEST(StreamedReplay, MatchesVectorReplay)
     EXPECT_EQ(from_stream.cache.misses,
               reference_cache.stats().misses);
     EXPECT_LE(from_stream.peakResidentAccesses, 8u);
-}
-
-TEST(Sinks, PeriodicScanDecorator)
-{
-    std::vector<ThreadTrace> traces(1);
-    for (std::uint64_t i = 0; i < 100; ++i)
-        traces[0].push_back(at(i * 64));
-    CacheConfig config;
-    config.sizeBytes = 65536;
-    config.associativity = 4;
-    config.lineBytes = 64;
-    Cache cache(config);
-    CacheReplaySink replay_sink(cache);
-    std::uint64_t scans = 0;
-    PeriodicScanSink scan_sink(replay_sink, cache, 25,
-                               [&](const Cache &) { ++scans; });
-    InterleavingScheduler scheduler(producersFromTraces(traces), 8);
-    scheduler.drainTo(scan_sink);
-    EXPECT_EQ(scans, 4u);
-    EXPECT_EQ(replay_sink.accessCount(), 100u);
 }
 
 } // namespace

@@ -4,9 +4,10 @@
 `gral generate <type> <vertices>` and the cacheKB argument of
 `gral simulate` and `gral experiment` accept only the whole text as a
 non-negative integer in range: empty text, a sign, trailing bytes,
-values too large for the target type and cache sizes whose byte count
-overflows 64 bits are refused with an `error:` naming the argument,
-and no output file is written.
+values too large for the target type, R-MAT vertex counts whose
+power-of-two round-up does not fit a vertex id, and cache sizes whose
+byte count overflows 64 bits are refused with an `error:` naming the
+argument, and no output file is written.
 
 Every run happens under a 1 GiB address-space limit, so a value that
 slips through and turns into a huge allocation fails this test rather
@@ -48,10 +49,10 @@ class Runner:
                   "limit (sanitizer build); allocations are capped by "
                   "ASAN_OPTIONS instead")
 
-    def __call__(self, *args):
+    def __call__(self, *args, timeout=300):
         return subprocess.run(
             [self.gral, *args], capture_output=True, text=True,
-            timeout=300, env=self.env,
+            timeout=timeout, env=self.env,
             preexec_fn=limit_address_space if self.limited else None)
 
 
@@ -62,9 +63,13 @@ def main():
     run = Runner(sys.argv[1])
     failures = []
 
-    def expect_rejected(args, argument):
+    def expect_rejected(args, argument, timeout=300):
         where = "gral " + " ".join(repr(a) for a in args)
-        result = run(*args)
+        try:
+            result = run(*args, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            failures.append(f"{where}: still running after {timeout} s")
+            return
         if result.returncode != 1:
             failures.append(f"{where}: exit {result.returncode} (want 1); "
                             f"stderr {result.stderr.strip()[:200]!r}")
@@ -86,6 +91,10 @@ def main():
                          "99999999999999999999999"):
             expect_rejected(["generate", "uniform", vertices, out],
                             "vertices")
+        # R-MAT rounds the count up to 2^scale, which must fit a
+        # VertexId; the scale search once looped forever above 2^31.
+        expect_rejected(["generate", "rmat", "3000000000", out],
+                        "vertices", timeout=30)
         if os.path.exists(out):
             failures.append("a rejected generate wrote its output file")
 

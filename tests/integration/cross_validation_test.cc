@@ -21,7 +21,7 @@
 #include "metrics/aid.h"
 #include "metrics/ecs.h"
 #include "metrics/miss_rate.h"
-#include "metrics/reuse_distance.h"
+#include "tests/support/reuse_distance.h"
 #include "tests/support/trace_support.h"
 
 namespace gral

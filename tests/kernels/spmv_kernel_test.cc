@@ -199,18 +199,6 @@ TEST(Producers, ResumableAtAnyCutPoint)
     }
 }
 
-TEST(Producers, SizeHintIsExact)
-{
-    Graph graph = generateErdosRenyi(100, 600, 9);
-    TraceOptions options;
-    options.numThreads = 4;
-    auto producers = makePullProducers(graph, options);
-    auto traces = drainAll(makePullProducers(graph, options));
-    EXPECT_EQ(producerSizeHint(producers), accessCount(traces));
-    for (std::size_t t = 0; t < producers.size(); ++t)
-        EXPECT_EQ(producers[t]->sizeHint(), traces[t].size());
-}
-
 TEST(Trace, SequentialAddressesAreMonotone)
 {
     Graph graph = makePath(50);

@@ -7,7 +7,7 @@
 
 #include <stdexcept>
 
-#include "metrics/reuse_distance.h"
+#include "tests/support/reuse_distance.h"
 
 namespace gral
 {

@@ -49,8 +49,6 @@ class VectorProducer final : public AccessProducer
         return n;
     }
 
-    std::size_t sizeHint() const override { return trace_.size(); }
-
   private:
     std::span<const MemoryAccess> trace_;
     std::size_t cursor_ = 0;

@@ -32,6 +32,7 @@
  */
 
 #include <charconv>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -286,10 +287,19 @@ cmdGenerate(int argc, char **argv)
         params.numVertices = vertices;
         graph = generateWebGraph(params);
     } else if (type == "rmat") {
+        // R-MAT rounds up to 2^scale vertices, and 2^scale must itself
+        // be a VertexId: search the scale in 64 bits.
+        constexpr unsigned kMaxRmatScale =
+            std::numeric_limits<VertexId>::digits - 1;
         RMatParams params;
         params.scale = 1;
-        while ((VertexId{1} << params.scale) < vertices)
+        while ((std::uint64_t{1} << params.scale) < vertices)
             ++params.scale;
+        if (params.scale > kMaxRmatScale)
+            throw std::invalid_argument(
+                "vertices: rmat rounds '" + std::string(argv[1]) +
+                "' up to a power of two above its limit of " +
+                std::to_string(std::uint64_t{1} << kMaxRmatScale));
         graph = generateRMat(params);
     } else if (type == "uniform") {
         graph = generateErdosRenyi(vertices,
