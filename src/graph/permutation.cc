@@ -1,5 +1,6 @@
 #include "graph/permutation.h"
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 
@@ -48,18 +49,44 @@ Permutation::compose(const Permutation &first) const
     return Permutation(std::move(result));
 }
 
+namespace
+{
+
+/**
+ * One direction of a relabeled graph, count then place: row newId(v)
+ * holds v's row with every neighbour mapped, sorted ascending.
+ */
+Adjacency
+relabelRows(const AdjacencyView &rows, const Permutation &permutation)
+{
+    const VertexId n = rows.numVertices();
+    std::vector<EdgeId> offsets(static_cast<std::size_t>(n) + 1, 0);
+    for (VertexId v = 0; v < n; ++v)
+        offsets[permutation.newId(v) + 1] = rows.degree(v);
+    for (VertexId r = 0; r < n; ++r)
+        offsets[r + 1] += offsets[r];
+
+    std::vector<VertexId> edges(rows.numEdges());
+    for (VertexId v = 0; v < n; ++v) {
+        auto first = edges.begin() + static_cast<std::ptrdiff_t>(
+                                         offsets[permutation.newId(v)]);
+        auto last = first;
+        for (VertexId u : rows.neighbours(v))
+            *last++ = permutation.newId(u);
+        std::sort(first, last);
+    }
+    return Adjacency(std::move(offsets), std::move(edges));
+}
+
+} // namespace
+
 Graph
 applyPermutation(const GraphView &graph, const Permutation &permutation)
 {
     if (permutation.size() != graph.numVertices())
         throw std::invalid_argument("applyPermutation: size mismatch");
-
-    std::vector<Edge> edges = graph.edgeList();
-    for (Edge &e : edges) {
-        e.src = permutation.newId(e.src);
-        e.dst = permutation.newId(e.dst);
-    }
-    return Graph(graph.numVertices(), edges);
+    return Graph(relabelRows(graph.out(), permutation),
+                 relabelRows(graph.in(), permutation));
 }
 
 Permutation

@@ -74,8 +74,9 @@ class Permutation
 
 /**
  * Rebuild a graph under a relabeling: edge (u, v) becomes
- * (newId(u), newId(v)); both CSR and CSC are reconstructed and
- * neighbour lists re-sorted.
+ * (newId(u), newId(v)). Each direction is built count-then-place:
+ * row newId(v) is v's row with its neighbours mapped and re-sorted,
+ * with no intermediate edge list.
  *
  * @pre permutation.size() == graph.numVertices() and is a bijection.
  */

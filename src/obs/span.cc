@@ -20,17 +20,55 @@ TraceRecorder::TraceRecorder() : start_(Clock::now()) {}
 TraceRecorder::ThreadBuffer &
 TraceRecorder::localBuffer()
 {
-    thread_local std::shared_ptr<ThreadBuffer> local =
-        [this]() -> std::shared_ptr<ThreadBuffer> {
-        auto buffer = std::make_shared<ThreadBuffer>();
-        std::lock_guard lock(mutex_);
-        buffer->tid = nextTid_++;
-        // No up-front reserve: the buffer outlives its thread, and
-        // short-lived pool workers each record only a span or two.
-        buffers_.push_back(buffer);
+    // The lease returns the buffer when its thread exits, so pool
+    // workers started for every batch take over their predecessors'
+    // buffers instead of adding one each.
+    struct Lease
+    {
+        explicit Lease(TraceRecorder &recorder)
+            : owner(recorder), buffer(recorder.acquireBuffer())
+        {
+        }
+        ~Lease() { owner.releaseBuffer(std::move(buffer)); }
+        Lease(const Lease &) = delete;
+        Lease &operator=(const Lease &) = delete;
+
+        TraceRecorder &owner;
+        std::shared_ptr<ThreadBuffer> buffer;
+    };
+    thread_local Lease lease(*this);
+    return *lease.buffer;
+}
+
+std::shared_ptr<TraceRecorder::ThreadBuffer>
+TraceRecorder::acquireBuffer()
+{
+    std::lock_guard lock(mutex_);
+    if (!idle_.empty()) {
+        std::shared_ptr<ThreadBuffer> buffer = std::move(idle_.back());
+        idle_.pop_back();
         return buffer;
-    }();
-    return *local;
+    }
+    // No up-front reserve: short-lived pool workers each record only
+    // a span or two.
+    auto buffer = std::make_shared<ThreadBuffer>();
+    buffer->tid = nextTid_++;
+    buffers_.push_back(buffer);
+    return buffer;
+}
+
+void
+TraceRecorder::releaseBuffer(std::shared_ptr<ThreadBuffer> buffer)
+{
+    std::lock_guard lock(mutex_);
+    idle_.push_back(std::move(buffer));
+}
+
+std::size_t
+TraceRecorder::threadBuffers() const
+{
+    std::lock_guard lock(mutex_);
+    return buffers_.size();
 }
 
 void

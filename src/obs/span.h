@@ -92,6 +92,12 @@ class TraceRecorder
      *  and thread ids survive. */
     void clear();
 
+    /** Thread buffers allocated so far. An exited thread's buffer,
+     *  events and tid included, passes to the next thread that
+     *  records, so this is bounded by the peak number of recording
+     *  threads alive at once. */
+    std::size_t threadBuffers() const;
+
   private:
     using Clock = std::chrono::steady_clock;
 
@@ -106,9 +112,13 @@ class TraceRecorder
     TraceRecorder();
 
     ThreadBuffer &localBuffer();
+    std::shared_ptr<ThreadBuffer> acquireBuffer();
+    void releaseBuffer(std::shared_ptr<ThreadBuffer> buffer);
 
-    mutable std::mutex mutex_; // guards buffers_ list and start_
+    mutable std::mutex mutex_; // guards buffers_, idle_ and start_
     std::vector<std::shared_ptr<ThreadBuffer>> buffers_;
+    /** Buffers of exited threads, awaiting the next new thread. */
+    std::vector<std::shared_ptr<ThreadBuffer>> idle_;
     std::uint32_t nextTid_ = 0;
     std::size_t capacity_ = 1 << 16;
     Clock::time_point start_;

@@ -36,32 +36,32 @@ findRoot(std::vector<VertexId> &parent, VertexId v)
 /**
  * Canonicalize a community adjacency in place: resolve every target
  * to its live root, drop self references, and combine duplicates.
+ * Entries keep the order of their first occurrence. @p slot maps a
+ * root to its entry's index; it holds kInvalidVertex everywhere
+ * between calls. Weights are integer-valued floats, so the sums are
+ * exact in any order while below 2^24, that is, while no two
+ * communities share 2^24 edges.
  */
 void
 canonicalize(std::vector<WeightedNeighbour> &adj,
-             std::vector<VertexId> &parent, VertexId self)
+             std::vector<VertexId> &parent, std::vector<VertexId> &slot,
+             VertexId self)
 {
-    for (WeightedNeighbour &entry : adj)
-        entry.target = findRoot(parent, entry.target);
-    std::erase_if(adj, [self](const WeightedNeighbour &entry) {
-        return entry.target == self;
-    });
-    std::sort(adj.begin(), adj.end(),
-              [](const WeightedNeighbour &a, const WeightedNeighbour &b) {
-                  return a.target < b.target;
-              });
     std::size_t out = 0;
-    for (std::size_t i = 0; i < adj.size();) {
-        WeightedNeighbour combined = adj[i];
-        std::size_t j = i + 1;
-        while (j < adj.size() && adj[j].target == combined.target) {
-            combined.weight += adj[j].weight;
-            ++j;
+    for (std::size_t i = 0; i < adj.size(); ++i) {
+        VertexId root = findRoot(parent, adj[i].target);
+        if (root == self)
+            continue;
+        if (slot[root] == kInvalidVertex) {
+            slot[root] = static_cast<VertexId>(out);
+            adj[out++] = {root, adj[i].weight};
+        } else {
+            adj[slot[root]].weight += adj[i].weight;
         }
-        adj[out++] = combined;
-        i = j;
     }
     adj.resize(out);
+    for (const WeightedNeighbour &entry : adj)
+        slot[entry.target] = kInvalidVertex;
 }
 
 } // namespace
@@ -82,31 +82,6 @@ RabbitOrder::reorder(const GraphView &graph)
 
     Adjacency undirected = undirectedAdjacency(graph);
 
-    // Initial weighted adjacency: every undirected edge has weight 1.
-    std::vector<std::vector<WeightedNeighbour>> adj(n);
-    std::vector<double> strength(n, 0.0); // weighted degree
-    double total_weight2 = 0.0;           // 2m
-    for (VertexId v = 0; v < n; ++v) {
-        auto nbrs = undirected.neighbours(v);
-        adj[v].reserve(nbrs.size());
-        for (VertexId u : nbrs)
-            adj[v].push_back({u, 1.0f});
-        strength[v] = static_cast<double>(nbrs.size());
-        total_weight2 += strength[v];
-    }
-    if (total_weight2 == 0.0)
-        total_weight2 = 1.0; // edgeless graph: no merges happen anyway
-
-    stats_.peakFootprintBytes =
-        graph.numEdges() * 2 * sizeof(WeightedNeighbour) +
-        n * (sizeof(double) + 4 * sizeof(VertexId));
-
-    std::vector<VertexId> parent(n);
-    std::iota(parent.begin(), parent.end(), VertexId{0});
-    std::vector<VertexId> first_child(n, kInvalidVertex);
-    std::vector<VertexId> next_sibling(n, kInvalidVertex);
-    std::vector<VertexId> community_size(n, 1);
-
     // EDR participation mask (Section VIII-B2): out-of-range vertices
     // are left out of merging and appended at the end, "in the same
     // manner as zero degree vertices".
@@ -119,6 +94,41 @@ RabbitOrder::reorder(const GraphView &graph)
                 participates[v] = 0;
         }
     }
+
+    // Initial weighted adjacency: every undirected edge has weight 1.
+    // Excluded vertices get no entries and no entries point at them,
+    // but their edges still count towards every strength.
+    std::vector<std::vector<WeightedNeighbour>> adj(n);
+    std::vector<double> strength(n, 0.0); // weighted degree
+    double total_weight2 = 0.0;           // 2m
+    for (VertexId v = 0; v < n; ++v) {
+        auto nbrs = undirected.neighbours(v);
+        strength[v] = static_cast<double>(nbrs.size());
+        total_weight2 += strength[v];
+        if (!participates[v])
+            continue;
+        adj[v].reserve(nbrs.size());
+        for (VertexId u : nbrs)
+            if (participates[u])
+                adj[v].push_back({u, 1.0f});
+    }
+    if (total_weight2 == 0.0)
+        total_weight2 = 1.0; // edgeless graph: no merges happen anyway
+
+    std::vector<VertexId> parent(n);
+    std::iota(parent.begin(), parent.end(), VertexId{0});
+    std::vector<VertexId> first_child(n, kInvalidVertex);
+    std::vector<VertexId> next_sibling(n, kInvalidVertex);
+    std::vector<VertexId> community_size(n, 1);
+    std::vector<VertexId> slot(n, kInvalidVertex);
+    // List length at each community's last canonicalization.
+    std::vector<EdgeId> canonical_size(n);
+    for (VertexId v = 0; v < n; ++v)
+        canonical_size[v] = adj[v].size();
+
+    stats_.peakFootprintBytes =
+        graph.numEdges() * 2 * sizeof(WeightedNeighbour) +
+        n * (sizeof(double) + 5 * sizeof(VertexId) + sizeof(EdgeId));
 
     // Merge pass: ascending original degree, ties by ID.
     std::vector<VertexId> order(n);
@@ -133,14 +143,14 @@ RabbitOrder::reorder(const GraphView &graph)
         if (!participates[v] || parent[v] != v)
             continue; // excluded, or already absorbed
 
-        canonicalize(adj[v], parent, v);
+        canonicalize(adj[v], parent, slot, v);
+        canonical_size[v] = adj[v].size();
 
+        // Highest gain wins; equal gains go to the smallest target.
         VertexId best = kInvalidVertex;
         double best_gain = 0.0;
         for (const WeightedNeighbour &entry : adj[v]) {
             VertexId u = entry.target;
-            if (!participates[u])
-                continue;
             if (config_.maxCommunitySize != 0 &&
                 community_size[u] + community_size[v] >
                     config_.maxCommunitySize)
@@ -150,7 +160,9 @@ RabbitOrder::reorder(const GraphView &graph)
                            total_weight2 -
                        strength[v] * strength[u] /
                            (total_weight2 * total_weight2));
-            if (gain > best_gain) {
+            if (gain > best_gain ||
+                (gain == best_gain && best != kInvalidVertex &&
+                 u < best)) {
                 best_gain = gain;
                 best = u;
             }
@@ -170,11 +182,16 @@ RabbitOrder::reorder(const GraphView &graph)
         dst.insert(dst.end(), adj[v].begin(), adj[v].end());
         adj[v].clear();
         adj[v].shrink_to_fit();
-        // Keep the absorbed list from growing unboundedly stale.
+        // Keep the absorbed list from growing unboundedly stale, but
+        // only once it has doubled since its last canonicalization,
+        // so the work stays linear in the entries appended.
         if (dst.size() > 64 &&
             dst.size() > 4 * static_cast<std::size_t>(
-                                 community_size[best]))
-            canonicalize(dst, parent, best);
+                                 community_size[best]) &&
+            dst.size() >= 2 * canonical_size[best]) {
+            canonicalize(dst, parent, slot, best);
+            canonical_size[best] = dst.size();
+        }
     }
 
     // ID assignment: DFS from every top-level root so each community

@@ -16,22 +16,18 @@ namespace gral
 namespace
 {
 
-/** Degree of every *active* vertex counting only active neighbours. */
+/**
+ * Deactivate @p v and take it out of its active neighbours' degrees,
+ * so that degree[u] of every active u keeps counting only active
+ * neighbours.
+ */
 void
-activeDegrees(const Adjacency &undirected,
-              const std::vector<char> &active,
-              std::vector<EdgeId> &degree)
+deactivate(const Adjacency &undirected, VertexId v,
+           std::vector<char> &active, std::vector<EdgeId> &degree)
 {
-    VertexId n = undirected.numVertices();
-    for (VertexId v = 0; v < n; ++v) {
-        degree[v] = 0;
-        if (!active[v])
-            continue;
-        EdgeId d = 0;
-        for (VertexId u : undirected.neighbours(v))
-            d += active[u] ? 1 : 0;
-        degree[v] = d;
-    }
+    active[v] = 0;
+    for (VertexId u : undirected.neighbours(v))
+        degree[u] -= active[u] ? 1 : 0;
 }
 
 /** One connected component discovered by BFS. */
@@ -65,8 +61,12 @@ SlashBurn::reorder(const GraphView &graph)
                config_.hubFraction * static_cast<double>(n))));
     const double sqrt_n = std::sqrt(static_cast<double>(n));
 
+    // degree[v] of every active v counts its active neighbours: all
+    // of them now, kept current as vertices are deactivated.
     std::vector<char> active(n, 1);
-    std::vector<EdgeId> degree(n, 0);
+    std::vector<EdgeId> degree(n);
+    for (VertexId v = 0; v < n; ++v)
+        degree[v] = undirected.degree(v);
     std::vector<VertexId> new_ids(n, kInvalidVertex);
     std::vector<VertexId> comp_of(n, kInvalidVertex);
     std::vector<VertexId> queue;
@@ -85,7 +85,6 @@ SlashBurn::reorder(const GraphView &graph)
             break;
 
         GRAL_SPAN("slashburn/round");
-        activeDegrees(undirected, active, degree);
 
         if (config_.earlyStop) {
             EdgeId max_degree = 0;
@@ -126,7 +125,7 @@ SlashBurn::reorder(const GraphView &graph)
                   });
         for (VertexId hub : hubs) {
             new_ids[hub] = front++;
-            active[hub] = 0;
+            deactivate(undirected, hub, active, degree);
         }
         active_count -= k;
 
@@ -173,7 +172,9 @@ SlashBurn::reorder(const GraphView &graph)
         // Spokes are placed from the back, smallest component at the
         // very end, so bigger (better-connected) components sit
         // closer to the hubs. Vertices inside a component stay
-        // contiguous in BFS discovery order.
+        // contiguous in BFS discovery order. A spoke has no active
+        // neighbour outside itself, so removing it leaves the GCC's
+        // degrees as they are.
         std::vector<std::size_t> order(spokes.size());
         std::iota(order.begin(), order.end(), std::size_t{0});
         std::sort(order.begin(), order.end(),
@@ -202,7 +203,6 @@ SlashBurn::reorder(const GraphView &graph)
         record.iteration = stats_.iterations;
         record.gccVertices =
             static_cast<VertexId>(spokes[gcc_index].vertices.size());
-        activeDegrees(undirected, active, degree);
         for (VertexId v : spokes[gcc_index].vertices)
             record.gccMaxDegree =
                 std::max(record.gccMaxDegree, degree[v]);
@@ -223,7 +223,6 @@ SlashBurn::reorder(const GraphView &graph)
 
     // Whatever is left (the final small GCC) goes after the hubs,
     // highest degree first.
-    activeDegrees(undirected, active, degree);
     std::vector<VertexId> remaining;
     for (VertexId v = 0; v < n; ++v)
         if (active[v])

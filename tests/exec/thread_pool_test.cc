@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
 #include "exec/thread_pool.h"
+#include "obs/span.h"
 
 namespace gral
 {
@@ -121,6 +124,39 @@ TEST(WorkStealingPool, PerThreadBreakdownSumsToTotals)
     EXPECT_EQ(steal_sum, stats.steals);
     EXPECT_EQ(task_sum, n);
     EXPECT_GE(stats.maxIdlePercent(), stats.avgIdlePercent());
+}
+
+TEST(WorkStealingPool, SpanBuffersAreReusedAcrossBatches)
+{
+    // Every batch starts fresh worker threads; each exited worker's
+    // span buffer must pass to a later one instead of piling up.
+    TraceRecorder &recorder = TraceRecorder::global();
+    recorder.clear();
+    const std::size_t before = recorder.threadBuffers();
+    constexpr unsigned kThreads = 4;
+    constexpr std::size_t kBatches = 200;
+    constexpr std::size_t kTasks = 8;
+    WorkStealingPool pool(kThreads);
+    for (std::size_t batch = 0; batch < kBatches; ++batch) {
+        pool.run(kTasks, [](std::size_t) {
+            GRAL_SPAN("test/pool_batch_task");
+        });
+    }
+    EXPECT_LE(recorder.threadBuffers(),
+              std::max<std::size_t>(before, kThreads + 1));
+
+    std::size_t begins = 0;
+    std::size_t ends = 0;
+    for (const SpanEvent &event : recorder.events()) {
+        if (std::strcmp(event.name, "test/pool_batch_task") != 0)
+            continue;
+        begins += event.phase == 'B' ? 1 : 0;
+        ends += event.phase == 'E' ? 1 : 0;
+    }
+    EXPECT_EQ(begins, kBatches * kTasks);
+    EXPECT_EQ(ends, kBatches * kTasks);
+    EXPECT_EQ(recorder.droppedEvents(), 0u);
+    recorder.clear();
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 
 #include "graph/builder.h"
 #include "graph/generators.h"
@@ -164,6 +165,23 @@ TEST(RabbitOrder, StatsPopulated)
     RabbitOrder ra;
     ra.reorder(graph);
     EXPECT_GT(ra.stats().peakFootprintBytes, 0u);
+}
+
+TEST(RabbitOrder, StarMergeIsNotQuadratic)
+{
+    // Every leaf merges into the centre, whose list starts with all
+    // 50,000 leaves. Re-canonicalizing that list after each merge is
+    // quadratic and takes seconds; amortized canonicalization takes
+    // milliseconds.
+    Graph graph = makeStar(50'001);
+    RabbitOrder ra;
+    auto start = std::chrono::steady_clock::now();
+    Permutation p = ra.reorder(graph);
+    std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    ASSERT_TRUE(p.isValid());
+    EXPECT_EQ(ra.numCommunities(), 1u);
+    EXPECT_LT(elapsed.count(), 1.0);
 }
 
 } // namespace
