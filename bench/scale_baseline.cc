@@ -68,17 +68,6 @@ bestOf(int repeats, Body &&body)
     return best;
 }
 
-double
-compressedBytesPerEdgeBothDirections(const Graph &graph)
-{
-    if (graph.numEdges() == 0)
-        return 0.0;
-    CompressedAdjacency out_c = compressAdjacency(graph.out());
-    CompressedAdjacency in_c = compressAdjacency(graph.in());
-    return static_cast<double>(out_c.blob.size() + in_c.blob.size()) /
-           static_cast<double>(2 * graph.numEdges());
-}
-
 } // namespace
 
 int
@@ -207,7 +196,7 @@ main(int argc, char **argv)
     for (const std::string &ra : reordererNames()) {
         ReorderStats stats;
         Graph relabeled = reorderedGraph(ra_base, ra, &stats);
-        double bpe = compressedBytesPerEdgeBothDirections(relabeled);
+        double bpe = compressedBytesPerEdge(relabeled);
         registry
             .gauge("bench/scale/ra/" + ra +
                    "/compressed_bytes_per_edge")

@@ -102,29 +102,6 @@ activeEventSet()
     return {};
 }
 
-/** Compressed topology bytes of one direction: the stored blob for a
- *  compressed backing, a throwaway encoding pass otherwise. */
-std::size_t
-compressedBlobBytes(const AdjacencyView &adjacency)
-{
-    if (adjacency.isCompressed())
-        return adjacency.compressedBlob().size();
-    return compressAdjacency(adjacency).blob.size();
-}
-
-/** Compressed bytes/edge averaged over both directions — the same
- *  definition writeGralbFile reports for a compressed `.gralb`. */
-double
-graphCompressedBytesPerEdge(const GraphView &graph)
-{
-    if (graph.numEdges() == 0)
-        return 0.0;
-    std::size_t blob_bytes = compressedBlobBytes(graph.out()) +
-                             compressedBlobBytes(graph.in());
-    return static_cast<double>(blob_bytes) /
-           (2.0 * static_cast<double>(graph.numEdges()));
-}
-
 } // namespace
 
 Graph
@@ -339,10 +316,9 @@ runRaExperiment(const GraphView &base, const std::string &ra_name,
                                 ? GraphView(relabeled)
                                 : base;
 
-    if (options.compressionMetric) {
+    {
         GRAL_SPAN("experiment/compression_metric");
-        result.compressedBytesPerEdge =
-            graphCompressedBytesPerEdge(graph);
+        result.compressedBytesPerEdge = compressedBytesPerEdge(graph);
     }
 
     if (options.runTiming) {

@@ -55,13 +55,6 @@ struct ExperimentOptions
      *  the reading is explicitly invalid when perf is unreachable,
      *  never zero-filled. */
     bool hwCounters = false;
-    /** Report the delta+varint compressed bytes/edge of the traversed
-     *  (relabeled) adjacencies — a storage-level locality metric: the
-     *  better the RA clusters neighbour IDs, the smaller the deltas
-     *  and the fewer bytes each edge costs (graph/storage/varint.h).
-     *  One O(|E|) encoding pass per cell; disable for timing-only
-     *  sweeps. */
-    bool compressionMetric = true;
 };
 
 /** Everything measured for one (dataset, kernel, RA) cell. */
@@ -95,8 +88,11 @@ struct RaExperimentResult
      *  group reading on the running thread. */
     PerfGroupReading hw;
     /** Delta+varint compressed topology bytes per edge of the
-     *  traversed graph, averaged over both adjacency directions
-     *  (0 when ExperimentOptions::compressionMetric is off). */
+     *  traversed (relabeled) graph, averaged over both adjacency
+     *  directions (compressedBytesPerEdge, graph/storage/varint.h) —
+     *  a storage-level locality metric: the better the RA clusters
+     *  neighbour IDs, the smaller the deltas and the fewer bytes each
+     *  edge costs. One O(|E|) encoding pass per cell. */
     double compressedBytesPerEdge = 0.0;
 };
 

@@ -87,6 +87,11 @@ checkSectionInside(const GralbSection &section, std::uint64_t file_bytes,
                              str(section.offset) + ", +" +
                              str(section.bytes) +
                              ") exceeds file size " + str(file_bytes));
+    // Sections are read in place as u64/u32 arrays.
+    if (section.offset % kGralbAlignment != 0)
+        failHeader(what, std::string(name) + " section offset " +
+                             str(section.offset) + " is not " +
+                             str(kGralbAlignment) + "-byte aligned");
 }
 
 void
@@ -140,19 +145,24 @@ sectionSpan(std::span<const std::uint8_t> file,
             static_cast<std::size_t>(section.bytes / sizeof(T))};
 }
 
+/** The raw view of one direction: the mapped sections, or, when the
+ *  direction is compressed, @p decoded after decoding into it. */
 AdjacencyView
 directionView(std::span<const std::uint8_t> file, bool compressed,
               const GralbSection &offsets, const GralbSection &edges,
               const GralbSection &comp_index,
-              const GralbSection &comp_blob)
+              const GralbSection &comp_blob, Adjacency &decoded,
+              const std::string &what)
 {
     auto offset_span = sectionSpan<EdgeId>(file, offsets);
-    if (compressed)
-        return AdjacencyView::compressed(
-            offset_span, sectionSpan<std::uint64_t>(file, comp_index),
-            sectionSpan<std::uint8_t>(file, comp_blob));
-    return AdjacencyView(offset_span,
-                         sectionSpan<VertexId>(file, edges));
+    if (!compressed)
+        return AdjacencyView(offset_span,
+                             sectionSpan<VertexId>(file, edges));
+    decoded = decodeAdjacency(offset_span,
+                              sectionSpan<std::uint64_t>(file, comp_index),
+                              sectionSpan<std::uint8_t>(file, comp_blob),
+                              what);
+    return decoded;
 }
 
 } // namespace
@@ -161,9 +171,6 @@ GralbWriteResult
 writeGralbFile(const GraphView &graph, const std::string &path,
                const GralbWriteOptions &options)
 {
-    GRAL_CHECK(!graph.isCompressed())
-        << "writeGralbFile: input view must be uncompressed";
-
     DirectionPayload out_payload{graph.out().offsets(),
                                  graph.out().edges(),
                                  {}};
@@ -273,6 +280,12 @@ validateGralbHeader(const GralbHeader &header,
     if (header.numVertices > kInvalidVertex)
         failHeader(what, "vertex count " + str(header.numVertices) +
                              " overflows 32-bit vertex IDs");
+    // Every stored edge takes at least one byte (4 raw, >= 1 encoded),
+    // which also keeps the edges-section size below from wrapping.
+    if (header.numEdges > actual_file_bytes)
+        failHeader(what, "edge count " + str(header.numEdges) +
+                             " exceeds the file's " +
+                             str(actual_file_bytes) + " bytes");
     if (header.fileBytes != actual_file_bytes)
         failHeader(what, "header says " + str(header.fileBytes) +
                              " bytes but the file has " +
@@ -324,20 +337,23 @@ MappedGraph::open(const std::string &path)
     std::memcpy(&mapped.header_, bytes.data(), sizeof(GralbHeader));
     validateGralbHeader(mapped.header_, bytes.size(), path);
 
-    const GralbHeader &h = mapped.header_;
-    AdjacencyView out = directionView(
-        bytes, (h.flags & kGralbOutCompressed) != 0, h.outOffsets,
-        h.outEdges, h.outCompIndex, h.outCompBlob);
-    AdjacencyView in = directionView(
-        bytes, (h.flags & kGralbInCompressed) != 0, h.inOffsets,
-        h.inEdges, h.inCompIndex, h.inCompBlob);
-
-    // Cheap structural cross-checks the section-size validation can't
+    // Cheap structural cross-check the section-size validation can't
     // see: the offsets arrays must agree with the header counts.
-    if (out.numEdges() != h.numEdges || in.numEdges() != h.numEdges)
+    const GralbHeader &h = mapped.header_;
+    if (sectionSpan<EdgeId>(bytes, h.outOffsets).back() != h.numEdges ||
+        sectionSpan<EdgeId>(bytes, h.inOffsets).back() != h.numEdges)
         failHeader(path, "offsets arrays disagree with header edge "
                          "count " +
                              str(h.numEdges));
+
+    AdjacencyView out = directionView(
+        bytes, (h.flags & kGralbOutCompressed) != 0, h.outOffsets,
+        h.outEdges, h.outCompIndex, h.outCompBlob, mapped.decodedOut_,
+        path + ": out-adjacency");
+    AdjacencyView in = directionView(
+        bytes, (h.flags & kGralbInCompressed) != 0, h.inOffsets,
+        h.inEdges, h.inCompIndex, h.inCompBlob, mapped.decodedIn_,
+        path + ": in-adjacency");
     mapped.view_ = GraphView(out, in);
     return mapped;
 }

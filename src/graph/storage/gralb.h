@@ -19,16 +19,18 @@
  *               the in direction
  *     [192..)   section payloads, each 64-byte aligned
  *
- * Both directions are stored, so nothing is rebuilt on load: opening
- * a `.gralb` is O(1) — map the file, validate the header, point spans
- * at the sections.
+ * Both directions are stored, so nothing is rebuilt on load.
  * Uncompressed sections are raw arrays (offsets u64[|V|+1], edges
- * u32[|E|]); compressed directions store the offsets array *plus* a
+ * u32[|E|]); opening them is O(1) — map the file, validate the
+ * header, point spans at the sections. Their bodies are not checked
+ * at open. Compressed directions store the offsets array *plus* a
  * byte index and varint blob (varint.h) and leave the edges section
- * empty.
+ * empty; open checks and decodes each one into an owned Adjacency
+ * (O(|V|+|E|)), so MappedGraph::view() is always raw.
  *
- * Lifetime: GraphViews returned by MappedGraph::view() point into the
- * mapping and are valid only while the MappedGraph is alive.
+ * Lifetime: the GraphView returned by MappedGraph::view() points into
+ * the mapping and the decoded arrays, and is valid only while the
+ * MappedGraph (or the MappedGraph it was moved into) is alive.
  */
 
 #ifndef GRAL_GRAPH_STORAGE_GRALB_H
@@ -40,6 +42,7 @@
 #include <string>
 
 #include "common/annotations.h"
+#include "graph/csr.h"
 #include "graph/storage/mmap_file.h"
 #include "graph/types.h"
 #include "graph/view.h"
@@ -132,18 +135,21 @@ void validateGralbHeader(const GralbHeader &header,
                          const std::string &what);
 
 /**
- * A `.gralb` file mapped into memory. The owner of both the mapping
- * and the (cheap) views into it; O(1) open regardless of graph size.
+ * A `.gralb` file mapped into memory. The owner of the mapping, of
+ * the decoded arrays of any compressed direction, and of the (cheap)
+ * raw view into them. Moving a MappedGraph keeps its view valid: the
+ * mapping and the decoded arrays' heap buffers move with it.
  */
 class MappedGraph
 {
   public:
-    /** Map and validate @p path.
+    /** Map and validate @p path; decode compressed directions.
      *  @throws std::runtime_error when the file cannot be mapped,
-     *  ValidationError when its header or sections are malformed. */
+     *  ValidationError naming @p path (and the direction) when its
+     *  header, sections or a compressed direction are malformed. */
     static MappedGraph open(const std::string &path);
 
-    /** Topology view into the mapping (valid while *this lives). */
+    /** Raw topology view (valid while *this lives). */
     const GraphView &view() const GRAL_LIFETIMEBOUND { return view_; }
 
     /** Parsed header (counts, flags, degrees). */
@@ -159,7 +165,8 @@ class MappedGraph
     /** Number of directed edges |E|. */
     EdgeId numEdges() const { return header_.numEdges; }
 
-    /** True when either direction is varint-compressed. */
+    /** True when the file stores either direction varint-compressed
+     *  (the header flag; view() is raw either way). */
     bool
     isCompressed() const
     {
@@ -173,6 +180,9 @@ class MappedGraph
   private:
     MmapFile file_;
     GralbHeader header_;
+    /** Decoded compressed directions (default-empty when raw). */
+    Adjacency decodedOut_;
+    Adjacency decodedIn_;
     GraphView view_;
 };
 

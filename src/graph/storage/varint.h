@@ -13,9 +13,10 @@
  * unsorted intermediates of builders and tests) round-trip too, just
  * with a sign bit spent.
  *
- * Compressed storage is decoded whole (decodeGraph) before anything
- * traverses it; every kernel, reorderer and trace producer walks raw
- * neighbour spans.
+ * Compression is a storage encoding only. MappedGraph::open decodes
+ * a compressed `.gralb` direction whole (decodeAdjacency), checking
+ * it as untrusted input, before anything traverses it; every kernel,
+ * reorderer and trace producer walks raw neighbour spans.
  */
 
 #ifndef GRAL_GRAPH_STORAGE_VARINT_H
@@ -24,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "graph/types.h"
@@ -143,26 +145,34 @@ struct CompressedAdjacency
     std::vector<std::uint8_t> blob;
 };
 
-/** Compress every neighbour list of an uncompressed view. */
+/** Compress every neighbour list of @p adjacency. */
 CompressedAdjacency compressAdjacency(const AdjacencyView &adjacency);
 
-/** Compressed topology bytes per edge (index excluded: it plays the
- *  role the offsets array plays uncompressed). 0 for edgeless. */
-double compressedBytesPerEdge(const CompressedAdjacency &compressed,
-                              EdgeId num_edges);
+/**
+ * Compressed topology bytes per edge of @p graph: the blob bytes of
+ * both directions over 2|E| (the byte index is excluded: it plays the
+ * role the offsets array plays uncompressed). 0 for an edgeless
+ * graph. One O(|E|) encoding pass; the same figure writeGralbFile
+ * reports for a compressed `.gralb`.
+ */
+double compressedBytesPerEdge(const GraphView &graph);
 
 /**
- * Materialize any GraphView — compressed or not — into an owning
- * Graph, decoding neighbour lists as needed. The span-only
- * counterpart is materializeGraph (graph/view.h), which refuses
- * compressed backings.
+ * Decode one compressed direction into an owning Adjacency, treating
+ * every input as untrusted. Checks, before allocating anything, that
+ * @p offsets runs monotone from 0, that @p byte_index has one entry
+ * per offsets entry and runs monotone from 0 to the blob size, and
+ * that each vertex has at least one encoded byte per neighbour (so
+ * the decoded edges array is bounded by the blob); then decodes every
+ * list and checks the result with validateCsr.
  *
- * @pre each compressed direction's offsets and byte index run
- *      monotone from 0 to |E| and to the blob size.
- * @throws ValidationError naming the direction and the vertex whose
- *         encoded neighbour list does not decode.
+ * @throws ValidationError "<what>: <first violation>", e.g.
+ *         "in-adjacency: corrupt compressed neighbour list at vertex 2".
  */
-Graph decodeGraph(const GraphView &view);
+Adjacency decodeAdjacency(std::span<const EdgeId> offsets,
+                          std::span<const std::uint64_t> byte_index,
+                          std::span<const std::uint8_t> blob,
+                          const std::string &what);
 
 } // namespace gral
 

@@ -17,9 +17,6 @@ GraphView::edgeList() const
 Graph
 materializeGraph(const GraphView &view)
 {
-    GRAL_CHECK(!view.isCompressed())
-        << "materializeGraph: decode compressed storage through "
-           "graph/storage first";
     auto copyDirection = [](const AdjacencyView &adj) {
         return Adjacency(
             std::vector<EdgeId>(adj.offsets().begin(),

@@ -4,14 +4,12 @@
  *
  * A GraphView separates *storage* from *access*: kernels, trace
  * producers, metrics and reorderers consume a view and never care
- * whether the arrays live in a Graph's heap vectors, inside a
- * memory-mapped `.gralb` file (graph/storage/gralb.h), or as a
- * delta+varint-compressed blob. The uncompressed backings expose the
- * same zero-copy span API as Adjacency; the compressed backing keeps
- * the offsets array raw (degrees and edge-balanced partitioning stay
- * O(1)) and exposes the encoded neighbour bytes, which
- * graph/storage/varint.h decodes into a caller-owned scratch without
- * allocating on the hot path.
+ * whether the arrays live in a Graph's heap vectors or inside a
+ * memory-mapped `.gralb` file (graph/storage/gralb.h). Every view is
+ * raw: an offsets span and an edges span per direction, the same
+ * zero-copy span API as Adjacency. Delta+varint compression is a
+ * storage encoding only; MappedGraph::open decodes a compressed
+ * direction before any view of it exists.
  *
  * Views are cheap value types (a handful of spans): store them by
  * value, never keep a reference to a temporary view. The storage a
@@ -35,13 +33,9 @@ namespace gral
 {
 
 /**
- * One direction of a graph's topology, storage-agnostic.
- *
- * Uncompressed backing: an offsets span (|V|+1 entries) plus an edges
- * span (|E| vertex IDs, each neighbour list sorted ascending).
- * Compressed backing: the same offsets span plus a per-vertex byte
- * index into a delta+varint blob; neighbours() is then unavailable
- * (GRAL_DCHECK) and callers decode via graph/storage/varint.h.
+ * One direction of a graph's topology, storage-agnostic: an offsets
+ * span (|V|+1 entries) plus an edges span (|E| vertex IDs, each
+ * neighbour list sorted ascending).
  */
 class AdjacencyView
 {
@@ -49,7 +43,7 @@ class AdjacencyView
     /** Empty view over zero vertices. */
     AdjacencyView() = default;
 
-    /** Uncompressed view over prepared arrays.
+    /** View over prepared arrays.
      *  @pre offsets non-empty, offsets.back() == edges.size(). */
     AdjacencyView(std::span<const EdgeId> offsets,
                   std::span<const VertexId> edges)
@@ -65,27 +59,6 @@ class AdjacencyView
         const Adjacency &adjacency GRAL_LIFETIMEBOUND)
         : offsets_(adjacency.offsets()), edges_(adjacency.edges())
     {
-    }
-
-    /**
-     * Compressed view: raw offsets plus the varint blob and its
-     * per-vertex byte index (byte_index[v] .. byte_index[v+1] are the
-     * encoded bytes of v's neighbour list).
-     * @pre byte_index.size() == offsets.size().
-     */
-    static AdjacencyView
-    compressed(std::span<const EdgeId> offsets,
-               std::span<const std::uint64_t> byte_index,
-               std::span<const std::uint8_t> blob)
-    {
-        GRAL_DCHECK(byte_index.size() == offsets.size())
-            << "AdjacencyView: compressed byte index must have one "
-               "entry per offsets entry";
-        AdjacencyView view;
-        view.offsets_ = offsets;
-        view.compIndex_ = byte_index;
-        view.compBlob_ = blob;
-        return view;
     }
 
     /** Number of vertices. */
@@ -109,45 +82,21 @@ class AdjacencyView
     /** One-past-the-last edge index of @p v. */
     EdgeId endEdge(VertexId v) const { return offsets_[v + 1]; }
 
-    /** True when the neighbour lists are varint-compressed (span
-     *  access unavailable; decode via graph/storage/varint.h). */
-    bool isCompressed() const { return !compIndex_.empty(); }
-
-    /** Neighbour list of @p v, sorted ascending. Uncompressed only. */
+    /** Neighbour list of @p v, sorted ascending. */
     std::span<const VertexId>
     neighbours(VertexId v) const GRAL_LIFETIMEBOUND
     {
-        GRAL_DCHECK(!isCompressed())
-            << "AdjacencyView: span access on a compressed view";
         return {edges_.data() + offsets_[v],
                 edges_.data() + offsets_[v + 1]};
     }
 
-    /** Raw offsets array (|V|+1 entries; present in every backing). */
+    /** Raw offsets array (|V|+1 entries). */
     std::span<const EdgeId> offsets() const { return offsets_; }
 
-    /** Raw edges array. Uncompressed backings only. */
-    std::span<const VertexId>
-    edges() const
-    {
-        GRAL_DCHECK(!isCompressed())
-            << "AdjacencyView: raw edges of a compressed view";
-        return edges_;
-    }
+    /** Raw edges array (|E| entries). */
+    std::span<const VertexId> edges() const { return edges_; }
 
-    /** Per-vertex byte index into the compressed blob (empty unless
-     *  compressed). */
-    std::span<const std::uint64_t>
-    compressedIndex() const
-    {
-        return compIndex_;
-    }
-
-    /** Delta+varint-encoded neighbour bytes (empty unless
-     *  compressed). */
-    std::span<const std::uint8_t> compressedBlob() const { return compBlob_; }
-
-    /** Whether @p v has an edge to @p u (binary search; uncompressed). */
+    /** Whether @p v has an edge to @p u (binary search). */
     bool
     hasNeighbour(VertexId v, VertexId u) const
     {
@@ -165,22 +114,16 @@ class AdjacencyView
     }
 
     /** Bytes the viewed arrays occupy on disk / in memory, using the
-     *  paper's element sizes; compressed backings count the blob. */
+     *  paper's element sizes. */
     std::size_t
     footprintBytes() const
     {
-        std::size_t topo = isCompressed()
-                               ? compBlob_.size() +
-                                     compIndex_.size() * sizeof(std::uint64_t)
-                               : edges_.size() * kEdgeBytes;
-        return offsets_.size() * kOffsetBytes + topo;
+        return offsets_.size() * kOffsetBytes + edges_.size() * kEdgeBytes;
     }
 
   private:
     std::span<const EdgeId> offsets_;
     std::span<const VertexId> edges_;
-    std::span<const std::uint64_t> compIndex_;
-    std::span<const std::uint8_t> compBlob_;
 };
 
 /**
@@ -256,29 +199,21 @@ class GraphView
     /** In-degree of @p v. */
     EdgeId inDegree(VertexId v) const { return in_.degree(v); }
 
-    /** Out-neighbours of @p v, sorted ascending (uncompressed). */
+    /** Out-neighbours of @p v, sorted ascending. */
     std::span<const VertexId>
     outNeighbours(VertexId v) const
     {
         return out_.neighbours(v);
     }
 
-    /** In-neighbours of @p v, sorted ascending (uncompressed). */
+    /** In-neighbours of @p v, sorted ascending. */
     std::span<const VertexId>
     inNeighbours(VertexId v) const
     {
         return in_.neighbours(v);
     }
 
-    /** True when either direction is varint-compressed. */
-    bool
-    isCompressed() const
-    {
-        return out_.isCompressed() || in_.isCompressed();
-    }
-
-    /** Reconstruct the directed edge list from the CSR
-     *  (uncompressed). */
+    /** Reconstruct the directed edge list from the CSR. */
     std::vector<Edge> edgeList() const;
 
     /** Total topology footprint in bytes (both directions). */
@@ -302,10 +237,8 @@ class GraphView
 };
 
 /**
- * Deep-copy a view into an owning Graph (decodes nothing: the view
- * must be uncompressed — decode compressed storage through
- * graph/storage first). Used where an owning graph is genuinely
- * needed, e.g. before relabeling a memory-mapped graph.
+ * Deep-copy a view into an owning Graph. Used where an owning graph
+ * is genuinely needed, e.g. before relabeling a memory-mapped graph.
  */
 Graph materializeGraph(const GraphView &view);
 

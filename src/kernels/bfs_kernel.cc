@@ -393,7 +393,7 @@ BfsKernel::run(const GraphView &graph)
 }
 
 ProducerSet
-BfsKernel::buildProducers(const GraphView &graph,
+BfsKernel::makeProducers(const GraphView &graph,
                           const TraceOptions &options)
 {
     prepare(graph);

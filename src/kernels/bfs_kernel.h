@@ -108,6 +108,8 @@ class BfsKernel final : public Kernel
     }
 
     KernelRunInfo run(const GraphView &graph) override;
+    ProducerSet makeProducers(const GraphView &graph,
+                              const TraceOptions &options) override;
 
     /** Traversal result of the last prepared graph (runs if needed). */
     const BfsResult &result(const GraphView &graph) GRAL_LIFETIMEBOUND;
@@ -118,9 +120,6 @@ class BfsKernel final : public Kernel
     bool resolveAutoRelabel(const GraphView &graph) override;
 
   private:
-    ProducerSet buildProducers(const GraphView &graph,
-                               const TraceOptions &options) override;
-
     /** Run the traversal and rebuild the depth buckets. */
     void execute(const GraphView &graph);
 

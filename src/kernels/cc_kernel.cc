@@ -249,7 +249,7 @@ CcKernel::run(const GraphView &graph)
 }
 
 ProducerSet
-CcKernel::buildProducers(const GraphView &graph,
+CcKernel::makeProducers(const GraphView &graph,
                          const TraceOptions &options)
 {
     prepare(graph);

@@ -42,6 +42,8 @@ class CcKernel final : public Kernel
     }
 
     KernelRunInfo run(const GraphView &graph) override;
+    ProducerSet makeProducers(const GraphView &graph,
+                              const TraceOptions &options) override;
 
     /** Final labels of the last prepared graph (runs if needed). */
     const std::vector<VertexId> &labels(const GraphView &graph)
@@ -51,9 +53,6 @@ class CcKernel final : public Kernel
     VertexId numComponents(const GraphView &graph);
 
   private:
-    ProducerSet buildProducers(const GraphView &graph,
-                               const TraceOptions &options) override;
-
     /** Run the propagation, recording the per-sweep changed masks. */
     void execute(const GraphView &graph);
 

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/check.h"
 #include "kernels/bfs_kernel.h"
 #include "kernels/cc_kernel.h"
 #include "kernels/pagerank_kernel.h"
@@ -23,15 +22,6 @@ Kernel::shouldRelabel(const GraphView &graph)
         return resolveAutoRelabel(graph);
     }
     return true;
-}
-
-ProducerSet
-Kernel::makeProducers(const GraphView &graph, const TraceOptions &options)
-{
-    GRAL_CHECK(!graph.isCompressed())
-        << "makeProducers: decode compressed storage through "
-           "graph/storage first";
-    return buildProducers(graph, options);
 }
 
 bool

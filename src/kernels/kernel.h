@@ -103,20 +103,13 @@ class Kernel
      * Resumable per-thread producers replaying run(graph)'s memory
      * accesses over the synthetic address space. Self-priming: runs
      * the kernel first when its stream depends on runtime state.
-     * @pre @p graph is uncompressed (decodeGraph a compressed .gralb
-     *      first); checked with GRAL_CHECK.
      */
-    ProducerSet makeProducers(const GraphView &graph,
-                              const TraceOptions &options);
+    virtual ProducerSet makeProducers(const GraphView &graph,
+                                      const TraceOptions &options) = 0;
 
   protected:
     /** kAutoRelabel resolution hook (default: relabel). */
     virtual bool resolveAutoRelabel(const GraphView &graph);
-
-  private:
-    /** makeProducers after its precondition check. */
-    virtual ProducerSet buildProducers(const GraphView &graph,
-                                       const TraceOptions &options) = 0;
 };
 
 /** Owning kernel handle. */

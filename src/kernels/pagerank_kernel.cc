@@ -222,7 +222,7 @@ PageRankKernel::run(const GraphView &graph)
 }
 
 ProducerSet
-PageRankKernel::buildProducers(const GraphView &graph,
+PageRankKernel::makeProducers(const GraphView &graph,
                                const TraceOptions &options)
 {
     // The real run decides how many sweeps the trace replays.

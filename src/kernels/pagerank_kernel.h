@@ -81,15 +81,14 @@ class PageRankKernel final : public Kernel
     }
 
     KernelRunInfo run(const GraphView &graph) override;
+    ProducerSet makeProducers(const GraphView &graph,
+                              const TraceOptions &options) override;
 
     /** Solver result of the last prepared graph (runs it if needed). */
     const PageRankResult &result(const GraphView &graph)
         GRAL_LIFETIMEBOUND;
 
   private:
-    ProducerSet buildProducers(const GraphView &graph,
-                               const TraceOptions &options) override;
-
     /** Run the solver for @p graph unless already cached for it. */
     void prepare(const GraphView &graph);
 

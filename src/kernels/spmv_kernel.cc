@@ -153,9 +153,6 @@ ProducerSet
 makeReadSumProducers(const GraphView &graph, Direction direction,
                      const TraceOptions &options)
 {
-    GRAL_CHECK(!graph.isCompressed())
-        << "makeReadSumProducers: decode compressed storage through "
-           "graph/storage first";
     const AdjacencyView &adj =
         direction == Direction::In ? graph.in() : graph.out();
     const AccessPhase phase = direction == Direction::In
@@ -190,7 +187,7 @@ SpmvKernel::run(const GraphView &graph)
 }
 
 ProducerSet
-SpmvKernel::buildProducers(const GraphView &graph,
+SpmvKernel::makeProducers(const GraphView &graph,
                            const TraceOptions &options)
 {
     return makePullProducers(graph, options);

@@ -16,8 +16,8 @@
  * InterleavingScheduler + Cache replay them with O(chunk) resident
  * memory.
  *
- * Every producer walks raw neighbour spans: a compressed view fails a
- * GRAL_CHECK (decode it with decodeGraph first).
+ * Every producer walks raw neighbour spans; GraphView has no other
+ * kind (a compressed `.gralb` is decoded when it is opened).
  *
  * Address-space model (element sizes per paper Section II-A):
  *  - offsets array: 8-byte elements, sequential accesses,
@@ -89,10 +89,8 @@ class SpmvKernel final : public Kernel
     }
 
     KernelRunInfo run(const GraphView &graph) override;
-
-  private:
-    ProducerSet buildProducers(const GraphView &graph,
-                               const TraceOptions &options) override;
+    ProducerSet makeProducers(const GraphView &graph,
+                              const TraceOptions &options) override;
 };
 
 } // namespace gral

@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Corrupted .gralb inputs must end in `error:` and exit 1, never a signal.
 
-Generates a social graph, writes it as a plain and a compressed
-.gralb, then overwrites 4 KB at several places in each file with
+Generates a social graph and writes it as a plain and a compressed
+.gralb. The intact copies must give the same output: `gral metrics`
+and `gral simulate` print byte-identical stdout, and `gral info`
+differs only in its `backing file` and `compressed` rows. Then the
+test overwrites 4 KB at several places in each file with
 0x7fffffff words (offsets, edges, byte index and blob sections all get
 hit) and runs `gral info` and `gral metrics` on every corrupted copy.
 The error must name the input, not a source location of the build.
@@ -61,6 +64,47 @@ def check_rejected(result, where, failures):
     return False
 
 
+# `gral info` rows that describe the file rather than the graph.
+FILE_ROWS = ("backing file", "compressed")
+
+
+def info_rows(stdout):
+    """`gral info`'s table as [name, value] rows, minus FILE_ROWS.
+
+    Cells are split on runs of 2+ spaces, so a wider file-row value
+    (which re-pads every row) does not count as a difference.
+    """
+    rows = []
+    for line in stdout.splitlines():
+        cells = re.split(r"\s{2,}", line.strip())
+        if set(line.strip()) <= {"-"} or cells[0] in FILE_ROWS:
+            continue
+        rows.append(cells)
+    return rows
+
+
+def check_same_output(gral, plain, packed, failures):
+    """Plain and compressed copies of one graph print the same output."""
+    for command in ("info", "metrics", "simulate"):
+        results = [run(gral, command, path) for path in (plain, packed)]
+        where = f"gral {command} on plain vs compressed"
+        if any(result.returncode != 0 for result in results):
+            failures.append(f"{where}: exit "
+                            f"{[r.returncode for r in results]}: "
+                            f"{results[1].stderr.strip()}")
+            continue
+        plain_out, packed_out = (r.stdout for r in results)
+        if command == "info":
+            same = info_rows(plain_out) == info_rows(packed_out)
+        else:
+            same = plain_out == packed_out
+        if same and plain_out:
+            print(f"ok: {where}: same output")
+        else:
+            failures.append(f"{where}: output differs\n--- plain\n"
+                            f"{plain_out}--- compressed\n{packed_out}")
+
+
 def check_grf_refused(gral, tmp, failures):
     """.grf is retired: reading or writing one is a clean error."""
     edge_list = os.path.join(tmp, "a.el")
@@ -103,6 +147,8 @@ def main():
             if good.returncode != 0:
                 failures.append(f"info rejected intact {source}: "
                                 f"{good.stderr.strip()}")
+        check_same_output(gral, plain, packed, failures)
+        for source in (plain, packed):
             for fraction in FRACTIONS:
                 bad = os.path.join(tmp, f"bad_{fraction}.gralb")
                 corrupt_copy(source, bad, fraction)

@@ -220,13 +220,15 @@ TEST(CompressAdjacency, IndexBracketsEveryList)
 
 TEST(CompressAdjacency, BytesPerEdgeDefinition)
 {
-    Graph graph = makeCycle(64);
-    CompressedAdjacency compressed = compressAdjacency(graph.out());
-    EXPECT_DOUBLE_EQ(
-        compressedBytesPerEdge(compressed, graph.numEdges()),
-        static_cast<double>(compressed.blob.size()) /
-            static_cast<double>(graph.numEdges()));
-    EXPECT_DOUBLE_EQ(compressedBytesPerEdge(compressed, 0), 0.0);
+    // Blob bytes over both directions divided by 2|E|.
+    Graph graph = generateErdosRenyi(150, 900, 5);
+    CompressedAdjacency out_c = compressAdjacency(graph.out());
+    CompressedAdjacency in_c = compressAdjacency(graph.in());
+    EXPECT_EQ(compressedBytesPerEdge(graph),
+              static_cast<double>(out_c.blob.size() + in_c.blob.size()) /
+                  (2.0 * static_cast<double>(graph.numEdges())));
+    std::vector<Edge> no_edges;
+    EXPECT_EQ(compressedBytesPerEdge(Graph(4, no_edges)), 0.0);
 }
 
 TEST(DecodeGraph, RoundTripsCompressedBothDirections)
@@ -234,41 +236,28 @@ TEST(DecodeGraph, RoundTripsCompressedBothDirections)
     Graph graph = generateErdosRenyi(120, 700, 23);
     CompressedAdjacency out_c = compressAdjacency(graph.out());
     CompressedAdjacency in_c = compressAdjacency(graph.in());
-    GraphView compressed_view(
-        AdjacencyView::compressed(graph.out().offsets(),
-                                  out_c.byteIndex, out_c.blob),
-        AdjacencyView::compressed(graph.in().offsets(),
-                                  in_c.byteIndex, in_c.blob));
-    Graph decoded = decodeGraph(compressed_view);
-    EXPECT_EQ(decoded, graph);
+    EXPECT_EQ(decodeAdjacency(graph.out().offsets(), out_c.byteIndex,
+                              out_c.blob, "out-adjacency"),
+              graph.out());
+    EXPECT_EQ(decodeAdjacency(graph.in().offsets(), in_c.byteIndex,
+                              in_c.blob, "in-adjacency"),
+              graph.in());
 }
 
 TEST(DecodeGraph, CorruptListNamesDirectionAndVertex)
 {
     Graph graph = makePath(6);
-    CompressedAdjacency out_c = compressAdjacency(graph.out());
     CompressedAdjacency in_c = compressAdjacency(graph.in());
     // Vertex 2's first in-neighbour byte loses its varint terminator.
     in_c.blob[in_c.byteIndex[2]] |= 0x80;
-    GraphView corrupt(
-        AdjacencyView::compressed(graph.out().offsets(),
-                                  out_c.byteIndex, out_c.blob),
-        AdjacencyView::compressed(graph.in().offsets(),
-                                  in_c.byteIndex, in_c.blob));
     try {
-        (void)decodeGraph(corrupt);
+        (void)decodeAdjacency(graph.in().offsets(), in_c.byteIndex,
+                              in_c.blob, "in-adjacency");
         FAIL() << "corrupt blob decoded";
     } catch (const ValidationError &error) {
         EXPECT_STREQ(error.what(), "in-adjacency: corrupt compressed "
                                    "neighbour list at vertex 2");
     }
-}
-
-TEST(DecodeGraph, PassesThroughUncompressed)
-{
-    Graph graph = makeGrid(4, 5);
-    Graph decoded = decodeGraph(graph);
-    EXPECT_EQ(decoded, graph);
 }
 
 } // namespace

@@ -20,7 +20,8 @@ TEST(AdjacencyView, DefaultIsEmpty)
     AdjacencyView view;
     EXPECT_EQ(view.numVertices(), 0u);
     EXPECT_EQ(view.numEdges(), 0u);
-    EXPECT_FALSE(view.isCompressed());
+    EXPECT_TRUE(view.offsets().empty());
+    EXPECT_TRUE(view.edges().empty());
 }
 
 TEST(AdjacencyView, MirrorsAdjacency)
@@ -112,7 +113,6 @@ TEST(GraphView, EmptyViewIsSafe)
     EXPECT_EQ(view.numVertices(), 0u);
     EXPECT_EQ(view.numEdges(), 0u);
     EXPECT_DOUBLE_EQ(view.averageDegree(), 0.0);
-    EXPECT_FALSE(view.isCompressed());
     EXPECT_TRUE(view.edgeList().empty());
 }
 

@@ -19,12 +19,10 @@
 #include <vector>
 
 #include "cachesim/access_stream.h"
-#include "common/check.h"
 #include "graph/builder.h"
 #include "graph/degree.h"
 #include "graph/generators.h"
 #include "graph/permutation.h"
-#include "graph/storage/varint.h"
 #include "kernels/bfs_kernel.h"
 #include "kernels/cc_kernel.h"
 #include "kernels/kernel.h"
@@ -105,32 +103,6 @@ TEST(KernelRegistry, RelabelingPlans)
     KernelPtr bfs_kernel = makeKernel("bfs");
     EXPECT_EQ(bfs_kernel->plan().relabeling,
               Relabeling::kAutoRelabel);
-}
-
-TEST(KernelRegistry, CompressedViewFailsProducerCheck)
-{
-    // Producers walk raw neighbour spans; a compressed view must stop
-    // at the one precondition check, not read past the empty edges.
-    Graph graph = testGraph();
-    CompressedAdjacency out = compressAdjacency(graph.out());
-    CompressedAdjacency in = compressAdjacency(graph.in());
-    GraphView compressed(
-        AdjacencyView::compressed(graph.out().offsets(), out.byteIndex,
-                                  out.blob),
-        AdjacencyView::compressed(graph.in().offsets(), in.byteIndex,
-                                  in.blob));
-    for (const std::string &name : kernelNames()) {
-        KernelPtr kernel = makeKernel(name);
-        try {
-            (void)kernel->makeProducers(compressed, traceOptions());
-            ADD_FAILURE() << name << ": no CheckError";
-        } catch (const CheckError &error) {
-            EXPECT_NE(std::string(error.what())
-                          .find("decode compressed storage"),
-                      std::string::npos)
-                << name << ": " << error.what();
-        }
-    }
 }
 
 // ---------------------------------------------- spmv back-compat

@@ -23,7 +23,6 @@ isBuiltinViewProducer(std::string_view name)
         "in",             "neighbours",
         "outNeighbours",  "inNeighbours",
         "offsets",        "edges",
-        "compressedIndex", "compressedBlob",
         "data",           "c_str",
         "span",
     };

@@ -49,7 +49,6 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "graph/storage/gralb.h"
-#include "graph/storage/varint.h"
 #include "graph/validate.h"
 #include "kernels/kernel.h"
 #include "kernels/spmv_kernel.h"
@@ -131,9 +130,9 @@ constexpr std::size_t kTextChunkEdges = std::size_t{1} << 21;
 
 /**
  * A loaded graph plus whatever owns its storage: an owned Graph for
- * text and compressed .gralb inputs, the live mapping for plain
- * .gralb. Commands work on `view`; the holder keeps the backing alive
- * for the command's duration.
+ * text inputs, the MappedGraph for .gralb (which holds the mapping
+ * and any decoded compressed direction). Commands work on `view`; the
+ * holder keeps the backing alive for the command's duration.
  */
 struct LoadedGraph
 {
@@ -143,77 +142,19 @@ struct LoadedGraph
     bool isMapped = false;
 };
 
-/**
- * Check what decoding a compressed direction relies on: offsets that
- * run monotone from 0 to |E|, and a byte index that runs monotone
- * from 0 to the blob size with at least one byte per encoded
- * neighbour. An uncompressed direction gets the full CSR check.
- * @throws ValidationError naming @p what and the first violation.
- */
-void
-validateCompressedIndex(const AdjacencyView &adjacency,
-                        const std::string &what)
-{
-    if (!adjacency.isCompressed()) {
-        validateCsr(adjacency, what);
-        return;
-    }
-    auto offsets = adjacency.offsets();
-    auto index = adjacency.compressedIndex();
-    auto fail = [&](const std::string &detail) {
-        throw ValidationError(what + ": " + detail);
-    };
-    if (offsets.empty() || index.size() != offsets.size())
-        fail("byte index has " + std::to_string(index.size()) +
-             " entries for " + std::to_string(offsets.size()) +
-             " offsets");
-    if (offsets.front() != 0 || index.front() != 0)
-        fail("offsets or byte index do not start at 0");
-    for (std::size_t v = 1; v < offsets.size(); ++v) {
-        if (offsets[v] < offsets[v - 1] || index[v] < index[v - 1])
-            fail("offsets or byte index not monotone at vertex " +
-                 std::to_string(v - 1));
-        if (offsets[v] - offsets[v - 1] > index[v] - index[v - 1])
-            fail("vertex " + std::to_string(v - 1) + " has more "
-                 "neighbours than encoded bytes");
-    }
-    if (index.back() != adjacency.compressedBlob().size())
-        fail("byte index ends at " + std::to_string(index.back()) +
-             " but the blob has " +
-             std::to_string(adjacency.compressedBlob().size()) +
-             " bytes");
-}
-
 LoadedGraph
 loadView(const std::string &path)
 {
     rejectGrfPath(path);
     LoadedGraph loaded;
     if (isGralbPath(path)) {
+        // open() checks the header and section geometry and decodes
+        // (and checks) compressed directions; raw sections stay
+        // zero-copy and unchecked. The file is untrusted: check the
+        // whole body here, before any subcommand walks it.
         loaded.mapped = MappedGraph::open(path);
         loaded.isMapped = true;
-        // open() checks only the header and section geometry, so the
-        // mmap load stays O(1). The file is untrusted: check its
-        // payload here, before any subcommand walks it.
-        const GraphView &mapped = loaded.mapped.view();
-        if (mapped.isCompressed()) {
-            // Most subcommands (reorder, metrics, ...) walk raw
-            // neighbour spans; decode a compressed mapping into an
-            // owned graph up front. Uncompressed mappings stay
-            // zero-copy.
-            validateCompressedIndex(mapped.out(),
-                                    path + " (out-adjacency)");
-            validateCompressedIndex(mapped.in(),
-                                    path + " (in-adjacency)");
-            try {
-                loaded.owned = decodeGraph(mapped);
-            } catch (const ValidationError &error) {
-                throw ValidationError(path + ": " + error.what());
-            }
-            loaded.view = loaded.owned;
-        } else {
-            loaded.view = mapped;
-        }
+        loaded.view = loaded.mapped.view();
         validateGraph(loaded.view, path);
         return loaded;
     }
