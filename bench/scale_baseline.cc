@@ -12,9 +12,7 @@
  *
  *   bench/scale/build/{edges, seq_medges_per_s, par_medges_per_s,
  *                      par_threads, speedup}
- *   bench/scale/gralb/{raw_file_bytes, raw_write_ms, mmap_open_ms,
- *                      compressed_file_bytes,
- *                      compressed_bytes_per_edge}
+ *   bench/scale/gralb/{raw_file_bytes, raw_write_ms, mmap_open_ms}
  *   bench/scale/ra/<ra>/compressed_bytes_per_edge
  *   bench/scale/peak_rss_bytes
  *
@@ -141,18 +139,12 @@ main(int argc, char **argv)
 
     // --- .gralb write + O(1) mmap load ----------------------------
     const std::string raw_path = "/tmp/gral_scale_bench.gralb";
-    const std::string comp_path =
-        "/tmp/gral_scale_bench_comp.gralb";
     double write_s = 0.0;
     GralbWriteResult raw_written;
     {
         ScopedTimer timer(write_s);
         raw_written = writeGralbFile(built, raw_path);
     }
-    GralbWriteOptions comp_options;
-    comp_options.compressed = true;
-    GralbWriteResult comp_written =
-        writeGralbFile(built, comp_path, comp_options);
 
     double open_s = bestOf(repeats, [&] {
         MappedGraph mapped = MappedGraph::open(raw_path);
@@ -165,26 +157,15 @@ main(int argc, char **argv)
         .set(write_s * 1e3);
     registry.gauge("bench/scale/gralb/mmap_open_ms")
         .set(open_s * 1e3);
-    registry.gauge("bench/scale/gralb/compressed_file_bytes")
-        .set(static_cast<double>(comp_written.fileBytes));
-    registry.gauge("bench/scale/gralb/compressed_bytes_per_edge")
-        .set(comp_written.compressedBytesPerEdge);
 
-    TextTable gralb_table({"File", "Bytes", "Comp B/E", "Load"});
+    TextTable gralb_table({"File", "Bytes", "Load"});
     gralb_table.addRow({"raw", formatBytes(raw_written.fileBytes),
-                        "-",
                         formatDouble(open_s * 1e3, 3) + " ms"});
-    gralb_table.addRow(
-        {"compressed", formatBytes(comp_written.fileBytes),
-         formatDouble(comp_written.compressedBytesPerEdge, 2), "-"});
     gralb_table.print(std::cout);
     std::cout << "\n";
     bench::shapeCheck("mmap load is O(1), not O(E) (< 50 ms)",
                       open_s * 1e3 < 50.0);
-    bench::shapeCheck("compressed file smaller than raw",
-                      comp_written.fileBytes < raw_written.fileBytes);
     std::remove(raw_path.c_str());
-    std::remove(comp_path.c_str());
 
     // --- per-RA compressed bytes/edge (locality metric) -----------
     RMatParams ra_params;

@@ -92,7 +92,8 @@ struct RaExperimentResult
      *  directions (compressedBytesPerEdge, graph/storage/varint.h) —
      *  a storage-level locality metric: the better the RA clusters
      *  neighbour IDs, the smaller the deltas and the fewer bytes each
-     *  edge costs. One O(|E|) encoding pass per cell. */
+     *  edge costs. One O(|E|) pass per cell that sums varint
+     *  lengths without encoding. */
     double compressedBytesPerEdge = 0.0;
 };
 

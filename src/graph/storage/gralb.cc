@@ -4,11 +4,9 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
-#include <vector>
 
 #include "common/check.h"
 #include "graph/degree.h"
-#include "graph/storage/varint.h"
 #include "graph/validate.h"
 
 namespace gral
@@ -69,14 +67,6 @@ writeSection(std::ostream &out, std::uint64_t &written,
     written = section.offset + section.bytes;
 }
 
-/** Per-direction section payloads staged before the header is known. */
-struct DirectionPayload
-{
-    std::span<const EdgeId> offsets;
-    std::span<const VertexId> edges;   // empty when compressed
-    CompressedAdjacency compressed;    // empty when uncompressed
-};
-
 void
 checkSectionInside(const GralbSection &section, std::uint64_t file_bytes,
                    const std::string &what, const char *name)
@@ -95,11 +85,9 @@ checkSectionInside(const GralbSection &section, std::uint64_t file_bytes,
 }
 
 void
-checkDirectionSections(const GralbHeader &header, bool compressed,
+checkDirectionSections(const GralbHeader &header,
                        const GralbSection &offsets,
                        const GralbSection &edges,
-                       const GralbSection &comp_index,
-                       const GralbSection &comp_blob,
                        const std::string &what, const char *direction)
 {
     std::uint64_t offsets_bytes =
@@ -109,31 +97,12 @@ checkDirectionSections(const GralbHeader &header, bool compressed,
                              str(offsets.bytes) + " bytes, expected " +
                              str(offsets_bytes) + " for |V| = " +
                              str(header.numVertices));
-    if (compressed) {
-        if (edges.bytes != 0)
-            failHeader(what,
-                       std::string(direction) +
-                           " is flagged compressed but has a raw "
-                           "edges section");
-        std::uint64_t index_bytes =
-            (header.numVertices + 1) * sizeof(std::uint64_t);
-        if (comp_index.bytes != index_bytes)
-            failHeader(what, std::string(direction) +
-                                 " compressed index is " +
-                                 str(comp_index.bytes) +
-                                 " bytes, expected " + str(index_bytes));
-    } else {
-        std::uint64_t edges_bytes = header.numEdges * sizeof(VertexId);
-        if (edges.bytes != edges_bytes)
-            failHeader(what, std::string(direction) +
-                                 " edges section is " + str(edges.bytes) +
-                                 " bytes, expected " + str(edges_bytes) +
-                                 " for |E| = " + str(header.numEdges));
-        if (comp_index.bytes != 0 || comp_blob.bytes != 0)
-            failHeader(what, std::string(direction) +
-                                 " is not flagged compressed but has "
-                                 "compressed sections");
-    }
+    std::uint64_t edges_bytes = header.numEdges * sizeof(VertexId);
+    if (edges.bytes != edges_bytes)
+        failHeader(what, std::string(direction) + " edges section is " +
+                             str(edges.bytes) + " bytes, expected " +
+                             str(edges_bytes) + " for |E| = " +
+                             str(header.numEdges));
 }
 
 template <typename T>
@@ -145,74 +114,28 @@ sectionSpan(std::span<const std::uint8_t> file,
             static_cast<std::size_t>(section.bytes / sizeof(T))};
 }
 
-/** The raw view of one direction: the mapped sections, or, when the
- *  direction is compressed, @p decoded after decoding into it. */
-AdjacencyView
-directionView(std::span<const std::uint8_t> file, bool compressed,
-              const GralbSection &offsets, const GralbSection &edges,
-              const GralbSection &comp_index,
-              const GralbSection &comp_blob, Adjacency &decoded,
-              const std::string &what)
-{
-    auto offset_span = sectionSpan<EdgeId>(file, offsets);
-    if (!compressed)
-        return AdjacencyView(offset_span,
-                             sectionSpan<VertexId>(file, edges));
-    decoded = decodeAdjacency(offset_span,
-                              sectionSpan<std::uint64_t>(file, comp_index),
-                              sectionSpan<std::uint8_t>(file, comp_blob),
-                              what);
-    return decoded;
-}
-
 } // namespace
 
 GralbWriteResult
-writeGralbFile(const GraphView &graph, const std::string &path,
-               const GralbWriteOptions &options)
+writeGralbFile(const GraphView &graph, const std::string &path)
 {
-    DirectionPayload out_payload{graph.out().offsets(),
-                                 graph.out().edges(),
-                                 {}};
-    DirectionPayload in_payload{graph.in().offsets(),
-                                graph.in().edges(),
-                                {}};
-    if (options.compressed) {
-        out_payload.compressed = compressAdjacency(graph.out());
-        in_payload.compressed = compressAdjacency(graph.in());
-        out_payload.edges = {};
-        in_payload.edges = {};
-    }
-
     GralbHeader header;
-    header.flags = options.compressed
-                       ? (kGralbOutCompressed | kGralbInCompressed)
-                       : 0;
     header.numVertices = graph.numVertices();
     header.numEdges = graph.numEdges();
     header.maxOutDegree = maxDegree(graph, Direction::Out);
     header.maxInDegree = maxDegree(graph, Direction::In);
 
     std::uint64_t cursor = sizeof(GralbHeader);
-    auto placeDirection = [&](const DirectionPayload &payload,
+    auto placeDirection = [&](const AdjacencyView &adjacency,
                               GralbSection &offsets,
-                              GralbSection &edges,
-                              GralbSection &comp_index,
-                              GralbSection &comp_blob) {
+                              GralbSection &edges) {
         offsets = placeSection(
-            cursor, payload.offsets.size() * sizeof(EdgeId));
+            cursor, adjacency.offsets().size() * sizeof(EdgeId));
         edges = placeSection(cursor,
-                             payload.edges.size() * sizeof(VertexId));
-        comp_index = placeSection(cursor,
-                                  payload.compressed.byteIndex.size() *
-                                      sizeof(std::uint64_t));
-        comp_blob = placeSection(cursor,
-                                 payload.compressed.blob.size());
+                             adjacency.edges().size() * sizeof(VertexId));
     };
-    placeDirection(out_payload, header.outOffsets, header.outEdges,
-                   header.outCompIndex, header.outCompBlob);
-    placeDirection(in_payload, header.inOffsets, header.inEdges,
-                   header.inCompIndex, header.inCompBlob);
+    placeDirection(graph.out(), header.outOffsets, header.outEdges);
+    placeDirection(graph.in(), header.inOffsets, header.inEdges);
     header.fileBytes = cursor;
 
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -221,22 +144,14 @@ writeGralbFile(const GraphView &graph, const std::string &path,
     out.write(reinterpret_cast<const char *>(&header),
               sizeof(header));
     std::uint64_t written = sizeof(header);
-    auto writeDirection = [&](const DirectionPayload &payload,
+    auto writeDirection = [&](const AdjacencyView &adjacency,
                               const GralbSection &offsets,
-                              const GralbSection &edges,
-                              const GralbSection &comp_index,
-                              const GralbSection &comp_blob) {
-        writeSection(out, written, offsets, payload.offsets.data());
-        writeSection(out, written, edges, payload.edges.data());
-        writeSection(out, written, comp_index,
-                     payload.compressed.byteIndex.data());
-        writeSection(out, written, comp_blob,
-                     payload.compressed.blob.data());
+                              const GralbSection &edges) {
+        writeSection(out, written, offsets, adjacency.offsets().data());
+        writeSection(out, written, edges, adjacency.edges().data());
     };
-    writeDirection(out_payload, header.outOffsets, header.outEdges,
-                   header.outCompIndex, header.outCompBlob);
-    writeDirection(in_payload, header.inOffsets, header.inEdges,
-                   header.inCompIndex, header.inCompBlob);
+    writeDirection(graph.out(), header.outOffsets, header.outEdges);
+    writeDirection(graph.in(), header.inOffsets, header.inEdges);
     out.flush();
     if (!out)
         throw std::runtime_error("write failed for " + path);
@@ -245,13 +160,6 @@ writeGralbFile(const GraphView &graph, const std::string &path,
 
     GralbWriteResult result;
     result.fileBytes = header.fileBytes;
-    if (options.compressed && graph.numEdges() > 0) {
-        auto blob_bytes = out_payload.compressed.blob.size() +
-                          in_payload.compressed.blob.size();
-        result.compressedBytesPerEdge =
-            static_cast<double>(blob_bytes) /
-            static_cast<double>(2 * graph.numEdges());
-    }
     return result;
 }
 
@@ -269,19 +177,18 @@ validateGralbHeader(const GralbHeader &header,
         failHeader(what, "format version " + str(header.version) +
                              " unsupported (this build reads version " +
                              str(kGralbVersion) +
-                             "); re-run `gral convert`");
+                             "); re-create it from the source graph "
+                             "with `gral convert`");
     if (header.endianProbe != kGralbEndianProbe)
         failHeader(what,
                    "endianness mismatch: file was written on a "
                    "machine of different byte order");
-    if (header.flags &
-        ~(kGralbOutCompressed | kGralbInCompressed))
-        failHeader(what, "unknown flag bits " + str(header.flags));
     if (header.numVertices > kInvalidVertex)
         failHeader(what, "vertex count " + str(header.numVertices) +
                              " overflows 32-bit vertex IDs");
-    // Every stored edge takes at least one byte (4 raw, >= 1 encoded),
-    // which also keeps the edges-section size below from wrapping.
+    // Every stored edge takes four bytes, so |E| can be no larger
+    // than the file; this also keeps the edges-section size below
+    // from wrapping.
     if (header.numEdges > actual_file_bytes)
         failHeader(what, "edge count " + str(header.numEdges) +
                              " exceeds the file's " +
@@ -296,29 +203,15 @@ validateGralbHeader(const GralbHeader &header,
                        "out-offsets");
     checkSectionInside(header.outEdges, actual_file_bytes, what,
                        "out-edges");
-    checkSectionInside(header.outCompIndex, actual_file_bytes, what,
-                       "out-compressed-index");
-    checkSectionInside(header.outCompBlob, actual_file_bytes, what,
-                       "out-compressed-blob");
     checkSectionInside(header.inOffsets, actual_file_bytes, what,
                        "in-offsets");
     checkSectionInside(header.inEdges, actual_file_bytes, what,
                        "in-edges");
-    checkSectionInside(header.inCompIndex, actual_file_bytes, what,
-                       "in-compressed-index");
-    checkSectionInside(header.inCompBlob, actual_file_bytes, what,
-                       "in-compressed-blob");
 
-    checkDirectionSections(header,
-                           (header.flags & kGralbOutCompressed) != 0,
-                           header.outOffsets, header.outEdges,
-                           header.outCompIndex, header.outCompBlob,
+    checkDirectionSections(header, header.outOffsets, header.outEdges,
                            what, "out");
-    checkDirectionSections(header,
-                           (header.flags & kGralbInCompressed) != 0,
-                           header.inOffsets, header.inEdges,
-                           header.inCompIndex, header.inCompBlob, what,
-                           "in");
+    checkDirectionSections(header, header.inOffsets, header.inEdges,
+                           what, "in");
 }
 
 MappedGraph
@@ -346,15 +239,11 @@ MappedGraph::open(const std::string &path)
                          "count " +
                              str(h.numEdges));
 
-    AdjacencyView out = directionView(
-        bytes, (h.flags & kGralbOutCompressed) != 0, h.outOffsets,
-        h.outEdges, h.outCompIndex, h.outCompBlob, mapped.decodedOut_,
-        path + ": out-adjacency");
-    AdjacencyView in = directionView(
-        bytes, (h.flags & kGralbInCompressed) != 0, h.inOffsets,
-        h.inEdges, h.inCompIndex, h.inCompBlob, mapped.decodedIn_,
-        path + ": in-adjacency");
-    mapped.view_ = GraphView(out, in);
+    mapped.view_ = GraphView(
+        AdjacencyView(sectionSpan<EdgeId>(bytes, h.outOffsets),
+                      sectionSpan<VertexId>(bytes, h.outEdges)),
+        AdjacencyView(sectionSpan<EdgeId>(bytes, h.inOffsets),
+                      sectionSpan<VertexId>(bytes, h.inEdges)));
     return mapped;
 }
 

@@ -5,32 +5,27 @@
  * Layout (all integers little-endian, header validated on load):
  *
  *     [0..8)    magic "GRALBIN1"
- *     [8..12)   format version (u32, currently 1)
+ *     [8..12)   format version (u32, currently 2)
  *     [12..16)  endianness probe 0x01020304 (u32) — a byte-swapped
  *               reader sees 0x04030201 and refuses the file
- *     [16..24)  flags (u64): bit 0 = out-adjacency compressed,
- *               bit 1 = in-adjacency compressed
- *     [24..32)  |V| (u64)      [32..40)  |E| (u64)
- *     [40..48)  max out-degree [48..56)  max in-degree
- *     [56..64)  total file bytes (truncation check)
- *     [64..192) eight section descriptors {u64 byte offset, u64 byte
- *               length}: out offsets / out edges / out compressed
- *               index / out compressed blob, then the same four for
- *               the in direction
- *     [192..)   section payloads, each 64-byte aligned
+ *     [16..24)  |V| (u64)      [24..32)  |E| (u64)
+ *     [32..40)  max out-degree [40..48)  max in-degree
+ *     [48..56)  total file bytes (truncation check)
+ *     [56..120) four section descriptors {u64 byte offset, u64 byte
+ *               length}: out offsets, out edges, in offsets, in edges
+ *     [128..)   section payloads, each 64-byte aligned
  *
- * Both directions are stored, so nothing is rebuilt on load.
- * Uncompressed sections are raw arrays (offsets u64[|V|+1], edges
- * u32[|E|]); opening them is O(1) — map the file, validate the
- * header, point spans at the sections. Their bodies are not checked
- * at open. Compressed directions store the offsets array *plus* a
- * byte index and varint blob (varint.h) and leave the edges section
- * empty; open checks and decodes each one into an owned Adjacency
- * (O(|V|+|E|)), so MappedGraph::view() is always raw.
+ * Both directions are stored as raw arrays (offsets u64[|V|+1], edges
+ * u32[|E|]), so nothing is rebuilt or decoded on load: opening is
+ * O(1) — map the file, validate the header, point spans at the
+ * sections. The section bodies are not checked at open. Version 1
+ * files (which could also hold delta+varint directions) are refused
+ * with the version error, which says to re-create them from the
+ * source graph with `gral convert`.
  *
  * Lifetime: the GraphView returned by MappedGraph::view() points into
- * the mapping and the decoded arrays, and is valid only while the
- * MappedGraph (or the MappedGraph it was moved into) is alive.
+ * the mapping, and is valid only while the MappedGraph (or the
+ * MappedGraph it was moved into) is alive.
  */
 
 #ifndef GRAL_GRAPH_STORAGE_GRALB_H
@@ -42,7 +37,6 @@
 #include <string>
 
 #include "common/annotations.h"
-#include "graph/csr.h"
 #include "graph/storage/mmap_file.h"
 #include "graph/types.h"
 #include "graph/view.h"
@@ -55,7 +49,7 @@ inline constexpr std::array<char, 8> kGralbMagic = {'G', 'R', 'A', 'L',
                                                     'B', 'I', 'N', '1'};
 
 /** Current format version. */
-inline constexpr std::uint32_t kGralbVersion = 1;
+inline constexpr std::uint32_t kGralbVersion = 2;
 
 /** Value of the endianness probe when written and read by machines of
  *  the same byte order. */
@@ -63,10 +57,6 @@ inline constexpr std::uint32_t kGralbEndianProbe = 0x01020304;
 
 /** Section payload alignment (cache-line friendly, mmap-safe). */
 inline constexpr std::size_t kGralbAlignment = 64;
-
-/** Flag bits in GralbHeader::flags. */
-inline constexpr std::uint64_t kGralbOutCompressed = 1ULL << 0;
-inline constexpr std::uint64_t kGralbInCompressed = 1ULL << 1;
 
 /** Byte range of one section inside the file. */
 struct GralbSection
@@ -81,7 +71,6 @@ struct GralbHeader
     std::array<char, 8> magic = kGralbMagic;
     std::uint32_t version = kGralbVersion;
     std::uint32_t endianProbe = kGralbEndianProbe;
-    std::uint64_t flags = 0;
     std::uint64_t numVertices = 0;
     std::uint64_t numEdges = 0;
     std::uint64_t maxOutDegree = 0;
@@ -89,41 +78,26 @@ struct GralbHeader
     std::uint64_t fileBytes = 0;
     GralbSection outOffsets;
     GralbSection outEdges;
-    GralbSection outCompIndex;
-    GralbSection outCompBlob;
     GralbSection inOffsets;
     GralbSection inEdges;
-    GralbSection inCompIndex;
-    GralbSection inCompBlob;
 };
 
-static_assert(sizeof(GralbHeader) == 192,
+static_assert(sizeof(GralbHeader) == 120,
               "GralbHeader layout is the on-disk format; adding a "
               "field means bumping kGralbVersion");
 
-/** Writer knobs. */
-struct GralbWriteOptions
-{
-    /** Store both adjacencies delta+varint-compressed. */
-    bool compressed = false;
-};
-
-/** What writeGralbFile produced (feeds the scale bench / metrics). */
+/** What writeGralbFile produced (feeds the scale bench). */
 struct GralbWriteResult
 {
     std::uint64_t fileBytes = 0;
-    /** Compressed topology bytes per edge over both directions; 0
-     *  when writing uncompressed. */
-    double compressedBytesPerEdge = 0.0;
 };
 
 /**
- * Serialize @p graph (any uncompressed view) to @p path.
+ * Serialize @p graph to @p path.
  * @throws std::runtime_error on I/O failure.
  */
 GralbWriteResult writeGralbFile(const GraphView &graph,
-                                const std::string &path,
-                                const GralbWriteOptions &options = {});
+                                const std::string &path);
 
 /**
  * Validate an untrusted header against the actual file size: magic,
@@ -135,24 +109,23 @@ void validateGralbHeader(const GralbHeader &header,
                          const std::string &what);
 
 /**
- * A `.gralb` file mapped into memory. The owner of the mapping, of
- * the decoded arrays of any compressed direction, and of the (cheap)
- * raw view into them. Moving a MappedGraph keeps its view valid: the
- * mapping and the decoded arrays' heap buffers move with it.
+ * A `.gralb` file mapped into memory: the owner of the mapping and
+ * of the (cheap) view into it. Moving a MappedGraph keeps its view
+ * valid: the mapping moves with it.
  */
 class MappedGraph
 {
   public:
-    /** Map and validate @p path; decode compressed directions.
+    /** Map @p path and validate its header and section geometry.
      *  @throws std::runtime_error when the file cannot be mapped,
-     *  ValidationError naming @p path (and the direction) when its
-     *  header, sections or a compressed direction are malformed. */
+     *  ValidationError naming @p path when its header or sections
+     *  are malformed. */
     static MappedGraph open(const std::string &path);
 
-    /** Raw topology view (valid while *this lives). */
+    /** Topology view (valid while *this lives). */
     const GraphView &view() const GRAL_LIFETIMEBOUND { return view_; }
 
-    /** Parsed header (counts, flags, degrees). */
+    /** Parsed header (counts, degrees, sections). */
     const GralbHeader &header() const { return header_; }
 
     /** Number of vertices |V|. */
@@ -165,24 +138,12 @@ class MappedGraph
     /** Number of directed edges |E|. */
     EdgeId numEdges() const { return header_.numEdges; }
 
-    /** True when the file stores either direction varint-compressed
-     *  (the header flag; view() is raw either way). */
-    bool
-    isCompressed() const
-    {
-        return (header_.flags &
-                (kGralbOutCompressed | kGralbInCompressed)) != 0;
-    }
-
     /** Bytes of the backing file. */
     std::size_t fileBytes() const { return file_.size(); }
 
   private:
     MmapFile file_;
     GralbHeader header_;
-    /** Decoded compressed directions (default-empty when raw). */
-    Adjacency decodedOut_;
-    Adjacency decodedIn_;
     GraphView view_;
 };
 

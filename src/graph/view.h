@@ -7,9 +7,8 @@
  * whether the arrays live in a Graph's heap vectors or inside a
  * memory-mapped `.gralb` file (graph/storage/gralb.h). Every view is
  * raw: an offsets span and an edges span per direction, the same
- * zero-copy span API as Adjacency. Delta+varint compression is a
- * storage encoding only; MappedGraph::open decodes a compressed
- * direction before any view of it exists.
+ * zero-copy span API as Adjacency. Delta+varint compression is only
+ * measured (graph/storage/varint.h), never stored or traversed.
  *
  * Views are cheap value types (a handful of spans): store them by
  * value, never keep a reference to a temporary view. The storage a

@@ -16,8 +16,8 @@
  * InterleavingScheduler + Cache replay them with O(chunk) resident
  * memory.
  *
- * Every producer walks raw neighbour spans; GraphView has no other
- * kind (a compressed `.gralb` is decoded when it is opened).
+ * Every producer walks raw neighbour spans, the only kind a
+ * GraphView has.
  *
  * Address-space model (element sizes per paper Section II-A):
  *  - offsets array: 8-byte elements, sequential accesses,

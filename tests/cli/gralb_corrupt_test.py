@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Corrupted .gralb inputs must end in `error:` and exit 1, never a signal.
 
-Generates a social graph and writes it as a plain and a compressed
-.gralb. The intact copies must give the same output: `gral metrics`
-and `gral simulate` print byte-identical stdout, and `gral info`
-differs only in its `backing file` and `compressed` rows. Then the
-test overwrites 4 KB at several places in each file with
-0x7fffffff words (offsets, edges, byte index and blob sections all get
-hit) and runs `gral info` and `gral metrics` on every corrupted copy.
-The error must name the input, not a source location of the build.
+Generates a social graph as a .gralb, then overwrites 4 KB at several
+places in it with 0x7fffffff words (offsets and edges sections both
+get hit) and runs `gral info` and `gral metrics` on every corrupted
+copy. The error must name the input, not a source location of the
+build. A file whose header says format version 1 (the layout that
+could hold compressed directions) must be refused the same way.
 
 The retired .grf format must be refused the same way: `gral info
 x.grf` and `gral convert a.el b.grf` exit 1 with `error:` naming
-.gralb, and write no file.
+.gralb, and write no file. `gral convert` refuses a flag it does not
+know (the retired `--compressed`) instead of reading it as a path:
+it exits non-zero naming the flag and writes nothing.
 
     gralb_corrupt_test.py <path-to-gral>
 """
@@ -64,45 +64,41 @@ def check_rejected(result, where, failures):
     return False
 
 
-# `gral info` rows that describe the file rather than the graph.
-FILE_ROWS = ("backing file", "compressed")
+def check_old_version_refused(gral, source, tmp, failures):
+    """A version-1 header ends in the named version error."""
+    with open(source, "rb") as f:
+        data = bytearray(f.read())
+    data[8:12] = struct.pack("<I", 1)
+    old = os.path.join(tmp, "version1.gralb")
+    with open(old, "wb") as f:
+        f.write(data)
+    result = run(gral, "info", old)
+    if (check_rejected(result, "gral info on a version-1 file", failures)
+            and "version 1" not in result.stderr):
+        failures.append(f"version-1 error does not name the version: "
+                        f"{result.stderr!r}")
 
 
-def info_rows(stdout):
-    """`gral info`'s table as [name, value] rows, minus FILE_ROWS.
-
-    Cells are split on runs of 2+ spaces, so a wider file-row value
-    (which re-pads every row) does not count as a difference.
-    """
-    rows = []
-    for line in stdout.splitlines():
-        cells = re.split(r"\s{2,}", line.strip())
-        if set(line.strip()) <= {"-"} or cells[0] in FILE_ROWS:
-            continue
-        rows.append(cells)
-    return rows
-
-
-def check_same_output(gral, plain, packed, failures):
-    """Plain and compressed copies of one graph print the same output."""
-    for command in ("info", "metrics", "simulate"):
-        results = [run(gral, command, path) for path in (plain, packed)]
-        where = f"gral {command} on plain vs compressed"
-        if any(result.returncode != 0 for result in results):
-            failures.append(f"{where}: exit "
-                            f"{[r.returncode for r in results]}: "
-                            f"{results[1].stderr.strip()}")
-            continue
-        plain_out, packed_out = (r.stdout for r in results)
-        if command == "info":
-            same = info_rows(plain_out) == info_rows(packed_out)
-        else:
-            same = plain_out == packed_out
-        if same and plain_out:
-            print(f"ok: {where}: same output")
-        else:
-            failures.append(f"{where}: output differs\n--- plain\n"
-                            f"{plain_out}--- compressed\n{packed_out}")
+def check_unknown_flag_refused(gral, source, tmp, failures):
+    """`convert --compressed a b` names the flag and writes no file."""
+    target = os.path.join(tmp, "converted.gralb")
+    with open(source, "rb") as f:
+        before = f.read()
+    result = run(gral, "convert", "--compressed", source, target)
+    where = "gral convert --compressed"
+    if result.returncode == 0:
+        failures.append(f"{where}: exit 0 (want non-zero)")
+    elif "--compressed" not in result.stderr:
+        failures.append(f"{where}: stderr does not name the flag: "
+                        f"{result.stderr!r}")
+    else:
+        print(f"ok: {where}: exit {result.returncode}: "
+              f"{result.stderr.strip().splitlines()[0]}")
+    if os.path.exists(target):
+        failures.append(f"{where} wrote {os.path.basename(target)}")
+    with open(source, "rb") as f:
+        if f.read() != before:
+            failures.append(f"{where} rewrote its input")
 
 
 def check_grf_refused(gral, tmp, failures):
@@ -133,31 +129,25 @@ def main():
     gral = sys.argv[1]
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
-        plain = os.path.join(tmp, "social.gralb")
-        packed = os.path.join(tmp, "social_compressed.gralb")
-        for args in (("generate", "social", VERTICES, plain),
-                     ("convert", "--compressed", plain, packed)):
-            result = run(gral, *args)
-            if result.returncode != 0:
-                print(f"setup failed: gral {' '.join(args)}\n"
-                      f"{result.stderr}", file=sys.stderr)
-                return 1
-        for source in (plain, packed):
-            good = run(gral, "info", source)
-            if good.returncode != 0:
-                failures.append(f"info rejected intact {source}: "
-                                f"{good.stderr.strip()}")
-        check_same_output(gral, plain, packed, failures)
-        for source in (plain, packed):
-            for fraction in FRACTIONS:
-                bad = os.path.join(tmp, f"bad_{fraction}.gralb")
-                corrupt_copy(source, bad, fraction)
-                for command in ("info", "metrics"):
-                    result = run(gral, command, bad)
-                    where = (f"gral {command} on "
-                             f"{os.path.basename(source)} corrupted at "
-                             f"{fraction:.0%}")
-                    check_rejected(result, where, failures)
+        source = os.path.join(tmp, "social.gralb")
+        result = run(gral, "generate", "social", VERTICES, source)
+        if result.returncode != 0:
+            print(f"setup failed: gral generate\n{result.stderr}",
+                  file=sys.stderr)
+            return 1
+        good = run(gral, "info", source)
+        if good.returncode != 0:
+            failures.append(f"info rejected intact {source}: "
+                            f"{good.stderr.strip()}")
+        for fraction in FRACTIONS:
+            bad = os.path.join(tmp, f"bad_{fraction}.gralb")
+            corrupt_copy(source, bad, fraction)
+            for command in ("info", "metrics"):
+                result = run(gral, command, bad)
+                where = f"gral {command} corrupted at {fraction:.0%}"
+                check_rejected(result, where, failures)
+        check_old_version_refused(gral, source, tmp, failures)
+        check_unknown_flag_refused(gral, source, tmp, failures)
         check_grf_refused(gral, tmp, failures)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

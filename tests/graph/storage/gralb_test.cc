@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the `.gralb` memory-mapped binary CSR format: write/open
- * round-trips, the malformed-header regression suite, and the checks
- * open runs while decoding a compressed direction.
+ * round-trips and the malformed-header regression suite.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@
 #include "graph/generators.h"
 #include "graph/degree.h"
 #include "graph/storage/gralb.h"
-#include "graph/storage/varint.h"
 #include "graph/validate.h"
 
 namespace gral
@@ -74,17 +72,6 @@ readHeader(const std::string &path)
     return header;
 }
 
-/** Write @p graph compressed to @p name; return the path. */
-std::string
-writeCompressed(const Graph &graph, const std::string &name)
-{
-    std::string path = tempPath(name);
-    GralbWriteOptions options;
-    options.compressed = true;
-    writeGralbFile(graph, path, options);
-    return path;
-}
-
 /** What MappedGraph::open(@p path) throws; empty when it opens. */
 std::string
 openError(const std::string &path)
@@ -97,58 +84,22 @@ openError(const std::string &path)
     return "";
 }
 
-/** Expect open(@p path) to throw a ValidationError that names the
- *  file, @p direction and @p detail. */
-void
-expectOpenRejects(const std::string &path, const std::string &direction,
-                  const std::string &detail)
-{
-    std::string message = openError(path);
-    EXPECT_EQ(message.rfind(path + ": " + direction + ": ", 0), 0u)
-        << message;
-    EXPECT_NE(message.find(detail), std::string::npos) << message;
-}
-
 TEST(Gralb, UncompressedRoundTrip)
 {
     Graph graph = generateErdosRenyi(400, 3000, 9);
     std::string path = tempPath("round.gralb");
     GralbWriteResult written = writeGralbFile(graph, path);
     EXPECT_GT(written.fileBytes, sizeof(GralbHeader));
-    EXPECT_DOUBLE_EQ(written.compressedBytesPerEdge, 0.0);
 
     MappedGraph mapped = MappedGraph::open(path);
     EXPECT_EQ(mapped.numVertices(), graph.numVertices());
     EXPECT_EQ(mapped.numEdges(), graph.numEdges());
-    EXPECT_FALSE(mapped.isCompressed());
     EXPECT_EQ(mapped.fileBytes(), written.fileBytes);
     EXPECT_EQ(mapped.header().maxOutDegree,
               maxDegree(graph, Direction::Out));
     EXPECT_EQ(mapped.header().maxInDegree,
               maxDegree(graph, Direction::In));
     EXPECT_EQ(materializeGraph(mapped.view()), graph);
-}
-
-TEST(Gralb, CompressedRoundTrip)
-{
-    Graph graph = generateErdosRenyi(300, 2400, 13);
-    std::string path = tempPath("round_comp.gralb");
-    GralbWriteOptions options;
-    options.compressed = true;
-    GralbWriteResult written = writeGralbFile(graph, path, options);
-    EXPECT_GT(written.compressedBytesPerEdge, 0.0);
-    // Sorted neighbour lists encode to a few bytes per edge — far
-    // below the 4 raw bytes.
-    EXPECT_LT(written.compressedBytesPerEdge, 4.0);
-
-    MappedGraph mapped = MappedGraph::open(path);
-    EXPECT_TRUE(mapped.isCompressed());
-    EXPECT_EQ(materializeGraph(mapped.view()), graph);
-    // One definition of compressed bytes/edge, bit for bit.
-    EXPECT_EQ(written.compressedBytesPerEdge,
-              compressedBytesPerEdge(graph));
-    EXPECT_LT(mapped.fileBytes(), writeGralbFile(
-        graph, tempPath("round_raw.gralb")).fileBytes);
 }
 
 TEST(Gralb, EmptyGraphRoundTrips)
@@ -206,18 +157,24 @@ TEST(Gralb, BadMagicRejected)
 
 TEST(Gralb, FutureVersionRejectedWithHint)
 {
-    Graph graph = makePath(10);
-    std::string path = tempPath("version.gralb");
-    writeGralbFile(graph, path);
-    corrupt<std::uint32_t>(path, 8, kGralbVersion + 1);
-    try {
-        (void)MappedGraph::open(path);
-        FAIL() << "version mismatch not diagnosed";
-    } catch (const ValidationError &error) {
+    // A newer file, and a version-1 file: its 192-byte header (with a
+    // flag word and compressed sections) is not this build's layout.
+    for (std::uint32_t version : {kGralbVersion + 1, 1u}) {
+        Graph graph = makePath(10);
+        std::string path = tempPath("version.gralb");
+        writeGralbFile(graph, path);
+        corrupt<std::uint32_t>(path, offsetof(GralbHeader, version),
+                               version);
+        std::string message = openError(path);
+        EXPECT_EQ(message.rfind(path + ": format version " +
+                                    std::to_string(version) +
+                                    " unsupported",
+                                0),
+                  0u)
+            << message;
         // The message must tell the user how to recover.
-        EXPECT_NE(std::string(error.what()).find("gral convert"),
-                  std::string::npos)
-            << error.what();
+        EXPECT_NE(message.find("gral convert"), std::string::npos)
+            << message;
     }
 }
 
@@ -227,15 +184,6 @@ TEST(Gralb, ByteSwappedEndianProbeRejected)
     std::string path = tempPath("endian.gralb");
     writeGralbFile(graph, path);
     corrupt<std::uint32_t>(path, 12, 0x04030201);
-    EXPECT_THROW((void)MappedGraph::open(path), ValidationError);
-}
-
-TEST(Gralb, UnknownFlagBitsRejected)
-{
-    Graph graph = makePath(10);
-    std::string path = tempPath("flags.gralb");
-    writeGralbFile(graph, path);
-    corrupt<std::uint64_t>(path, 16, std::uint64_t{1} << 17);
     EXPECT_THROW((void)MappedGraph::open(path), ValidationError);
 }
 
@@ -255,9 +203,9 @@ TEST(Gralb, SectionBeyondFileRejected)
     Graph graph = makePath(10);
     std::string path = tempPath("section.gralb");
     writeGralbFile(graph, path);
-    // Point the out-offsets section past the end of the file
-    // (descriptor block starts at byte 64).
-    corrupt<std::uint64_t>(path, 64, std::uint64_t{1} << 40);
+    // Point the out-offsets section past the end of the file.
+    corrupt<std::uint64_t>(path, offsetof(GralbHeader, outOffsets),
+                           std::uint64_t{1} << 40);
     EXPECT_THROW((void)MappedGraph::open(path), ValidationError);
 }
 
@@ -266,7 +214,7 @@ TEST(Gralb, VertexCountOverflowRejected)
     Graph graph = makePath(10);
     std::string path = tempPath("count.gralb");
     writeGralbFile(graph, path);
-    corrupt<std::uint64_t>(path, 24,
+    corrupt<std::uint64_t>(path, offsetof(GralbHeader, numVertices),
                            std::uint64_t{kInvalidVertex} + 1);
     EXPECT_THROW((void)MappedGraph::open(path), ValidationError);
 }
@@ -307,90 +255,12 @@ TEST(Gralb, MisalignedSectionRejected)
     EXPECT_NE(message.find("aligned"), std::string::npos) << message;
 }
 
-TEST(Gralb, CompressedIndexPastBlobRejected)
+TEST(Gralb, ViewSurvivesMove)
 {
-    // The first byte-index entry points past the blob: open must
-    // refuse it before any list is sliced out of the blob.
-    std::string path = writeCompressed(generateErdosRenyi(200, 1500, 3),
-                                       "comp_past.gralb");
-    GralbHeader header = readHeader(path);
-    corrupt<std::uint64_t>(path, header.outCompIndex.offset,
-                           header.outCompBlob.bytes + 4096);
-    expectOpenRejects(path, "out-adjacency", "byte index starts at");
-}
-
-TEST(Gralb, CompressedIndexNotMonotoneRejected)
-{
-    Graph graph = generateErdosRenyi(200, 1500, 3);
-    std::string path = writeCompressed(graph, "comp_mono.gralb");
-    GralbHeader header = readHeader(path);
-    VertexId v = graph.numVertices() / 2;
-    ASSERT_GT(graph.out().offsets()[v - 1], 0u);
-    corrupt<std::uint64_t>(
-        path, header.outCompIndex.offset + v * sizeof(std::uint64_t), 0);
-    expectOpenRejects(path, "out-adjacency",
-                      "byte index not monotone at vertex " +
-                          std::to_string(v - 1));
-}
-
-TEST(Gralb, CompressedIndexEndNotBlobSizeRejected)
-{
-    Graph graph = generateErdosRenyi(200, 1500, 3);
-    std::string path = writeCompressed(graph, "comp_end.gralb");
-    GralbHeader header = readHeader(path);
-    corrupt<std::uint64_t>(path,
-                           header.inCompIndex.offset +
-                               graph.numVertices() * sizeof(std::uint64_t),
-                           header.inCompBlob.bytes + 1);
-    expectOpenRejects(path, "in-adjacency", "byte index ends at");
-}
-
-TEST(Gralb, CompressedOffsetsNotMonotoneRejected)
-{
-    Graph graph = generateErdosRenyi(200, 1500, 3);
-    std::string path = writeCompressed(graph, "comp_offsets.gralb");
-    GralbHeader header = readHeader(path);
-    VertexId v = graph.numVertices() / 2;
-    ASSERT_GT(graph.in().offsets()[v - 1], 0u);
-    corrupt<EdgeId>(path, header.inOffsets.offset + v * sizeof(EdgeId),
-                    0);
-    expectOpenRejects(path, "in-adjacency",
-                      "offsets not monotone at vertex " +
-                          std::to_string(v - 1));
-}
-
-TEST(Gralb, CompressedCorruptListRejected)
-{
-    Graph graph = makePath(6);
-    std::string path = writeCompressed(graph, "comp_list.gralb");
-    GralbHeader header = readHeader(path);
-    CompressedAdjacency in_c = compressAdjacency(graph.in());
-    // Vertex 2's first in-neighbour byte loses its varint terminator.
-    std::size_t at = header.inCompBlob.offset + in_c.byteIndex[2];
-    corrupt<std::uint8_t>(path, at,
-                          static_cast<std::uint8_t>(
-                              readFileBytes(path)[at] | 0x80));
-    EXPECT_EQ(openError(path),
-              path + ": in-adjacency: corrupt compressed neighbour list "
-                     "at vertex 2");
-}
-
-TEST(Gralb, CompressedNeighbourOutOfRangeRejected)
-{
-    // A list that decodes but names a vertex >= |V| fails the CSR
-    // check open runs on every decoded direction.
-    Graph graph = makePath(6);
-    std::string path = writeCompressed(graph, "comp_range.gralb");
-    GralbHeader header = readHeader(path);
-    ASSERT_EQ(graph.outDegree(0), 1u);
-    corrupt<std::uint8_t>(path, header.outCompBlob.offset, 0x7F);
-    expectOpenRejects(path, "out-adjacency", "points to vertex 127");
-}
-
-TEST(Gralb, CompressedViewSurvivesMove)
-{
+    // The view points into the mapping, which moves with its owner.
     Graph graph = generateErdosRenyi(300, 2400, 17);
-    std::string path = writeCompressed(graph, "comp_move.gralb");
+    std::string path = tempPath("move.gralb");
+    writeGralbFile(graph, path);
     MappedGraph opened = MappedGraph::open(path);
     MappedGraph moved(std::move(opened));
     MappedGraph assigned;

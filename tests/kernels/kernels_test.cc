@@ -363,6 +363,71 @@ TEST(CcKernel, LabelsAreComponentMinima)
     EXPECT_EQ(kernel.numComponents(graph), 4u); // {3,5}, {1,2}, {0}, {4}
 }
 
+/** The vertices whose label each sweep of a plain in-place min-label
+ *  propagation lowers, one list per sweep, until a sweep changes
+ *  nothing. */
+std::vector<std::vector<VertexId>>
+labelChangesPerSweep(const GraphView &graph)
+{
+    std::vector<VertexId> label(graph.numVertices());
+    for (VertexId v = 0; v < graph.numVertices(); ++v)
+        label[v] = v;
+    std::vector<std::vector<VertexId>> sweeps;
+    for (bool changed = true; changed;) {
+        changed = false;
+        std::vector<VertexId> lowered;
+        for (VertexId v = 0; v < graph.numVertices(); ++v) {
+            VertexId best = label[v];
+            for (auto list :
+                 {graph.inNeighbours(v), graph.outNeighbours(v)})
+                for (VertexId u : list)
+                    best = std::min(best, label[u]);
+            if (best < label[v]) {
+                label[v] = best;
+                lowered.push_back(v);
+                changed = true;
+            }
+        }
+        sweeps.push_back(std::move(lowered));
+    }
+    return sweeps;
+}
+
+TEST(CcKernel, TraceStoresMatchLabelChanges)
+{
+    // The trace stores a label exactly where a sweep lowered it: the
+    // writes of the drained trace are those vertices' DataNew slots,
+    // one per change, and nothing else is a write.
+    TraceOptions trace = traceOptions();
+    for (const Graph &graph :
+         {testGraph(), generateErdosRenyi(400, 500, 6)}) {
+        std::vector<std::vector<VertexId>> sweeps =
+            labelChangesPerSweep(graph);
+        ASSERT_GT(sweeps.size(), 2u); // several sweeps store
+        std::vector<std::uint64_t> expected;
+        for (const std::vector<VertexId> &lowered : sweeps)
+            for (VertexId v : lowered)
+                expected.push_back(trace.map.dataNewAddr(v));
+
+        CcKernel kernel;
+        std::vector<std::uint64_t> stored;
+        for (const ThreadTrace &thread :
+             drainAll(kernel.makeProducers(graph, trace))) {
+            for (const MemoryAccess &access : thread) {
+                if (!access.isWrite)
+                    continue;
+                EXPECT_EQ(access.region, AccessRegion::DataNew);
+                EXPECT_EQ(access.dataVertex, access.ownerVertex);
+                stored.push_back(access.addr);
+            }
+        }
+        std::ranges::sort(expected);
+        std::ranges::sort(stored);
+        EXPECT_EQ(stored.size(), expected.size());
+        EXPECT_EQ(stored, expected);
+    }
+}
+
 TEST(CcKernel, IterationCapRespected)
 {
     Graph graph = makePath(1000); // worst case: long chain

@@ -4,8 +4,7 @@
  *
  * Subcommands:
  *   generate  <type> <vertices> <out>            synthesize a graph
- *   convert   [--compressed] [--graph-format=F] <in> <out>
- *                                                convert between text
+ *   convert   [--graph-format=F] <in> <out>    convert between text
  *                                                and .gralb
  *   info      <graph>                            basic statistics
  *   reorder   <graph> <RA|perm.txt> <out>        apply an RA or a
@@ -130,9 +129,9 @@ constexpr std::size_t kTextChunkEdges = std::size_t{1} << 21;
 
 /**
  * A loaded graph plus whatever owns its storage: an owned Graph for
- * text inputs, the MappedGraph for .gralb (which holds the mapping
- * and any decoded compressed direction). Commands work on `view`; the
- * holder keeps the backing alive for the command's duration.
+ * text inputs, the MappedGraph for .gralb (which holds the mapping).
+ * Commands work on `view`; the holder keeps the backing alive for the
+ * command's duration.
  */
 struct LoadedGraph
 {
@@ -148,10 +147,10 @@ loadView(const std::string &path)
     rejectGrfPath(path);
     LoadedGraph loaded;
     if (isGralbPath(path)) {
-        // open() checks the header and section geometry and decodes
-        // (and checks) compressed directions; raw sections stay
-        // zero-copy and unchecked. The file is untrusted: check the
-        // whole body here, before any subcommand walks it.
+        // open() checks only the header and section geometry; the
+        // sections stay zero-copy and unchecked. The file is
+        // untrusted: check the whole body here, once, before any
+        // subcommand walks it.
         loaded.mapped = MappedGraph::open(path);
         loaded.isMapped = true;
         loaded.view = loaded.mapped.view();
@@ -174,19 +173,11 @@ loadView(const std::string &path)
 }
 
 void
-saveGralb(const GraphView &graph, const std::string &path,
-          bool compressed)
+saveGralb(const GraphView &graph, const std::string &path)
 {
-    GralbWriteOptions options;
-    options.compressed = compressed;
-    GralbWriteResult result = writeGralbFile(graph, path, options);
+    GralbWriteResult result = writeGralbFile(graph, path);
     std::cout << "wrote " << path << ": "
-              << formatBytes(result.fileBytes);
-    if (compressed)
-        std::cout << ", "
-                  << formatDouble(result.compressedBytesPerEdge, 2)
-                  << " compressed B/edge";
-    std::cout << "\n";
+              << formatBytes(result.fileBytes) << "\n";
 }
 
 void
@@ -203,7 +194,7 @@ save(const GraphView &graph, const std::string &path)
 {
     rejectGrfPath(path);
     if (isGralbPath(path))
-        saveGralb(graph, path, /*compressed=*/false);
+        saveGralb(graph, path);
     else
         saveText(graph, path);
 }
@@ -260,26 +251,27 @@ cmdGenerate(int argc, char **argv)
 int
 cmdConvert(int argc, char **argv)
 {
-    // Strip --compressed / --graph-format=F before the positionals.
-    bool compressed = false;
+    constexpr const char *kUsage =
+        "usage: gral convert [--graph-format=text|gralb] <in> <out>\n"
+        "default format follows the output extension\n";
+    // Strip --graph-format=F before the positionals; any other flag
+    // is refused rather than taken for a file name.
     std::string format;
     std::vector<char *> positional;
     for (int i = 0; i < argc; ++i) {
         constexpr const char *kFormatFlag = "--graph-format=";
-        if (std::strcmp(argv[i], "--compressed") == 0)
-            compressed = true;
-        else if (std::strncmp(argv[i], kFormatFlag,
-                              std::strlen(kFormatFlag)) == 0)
+        if (std::strncmp(argv[i], kFormatFlag,
+                         std::strlen(kFormatFlag)) == 0) {
             format = argv[i] + std::strlen(kFormatFlag);
-        else
+        } else if (std::strncmp(argv[i], "--", 2) == 0) {
+            std::cerr << "unknown flag: " << argv[i] << "\n" << kUsage;
+            return 2;
+        } else {
             positional.push_back(argv[i]);
+        }
     }
     if (positional.size() < 2) {
-        std::cerr << "usage: gral convert [--compressed] "
-                     "[--graph-format=text|gralb] <in> <out>\n"
-                     "default format follows the output extension; "
-                     "--compressed needs a .gralb output (or "
-                     "--graph-format=gralb)\n";
+        std::cerr << kUsage;
         return 2;
     }
     const std::string in_path = positional[0];
@@ -290,14 +282,10 @@ cmdConvert(int argc, char **argv)
     if (format != "text" && format != "gralb")
         throw ValidationError("unknown --graph-format '" + format +
                               "' (expected text or gralb)");
-    if (compressed && format != "gralb")
-        throw ValidationError(
-            "--compressed requires the gralb format (got " + format +
-            " from the output extension)");
 
     LoadedGraph loaded = loadView(in_path);
     if (format == "gralb")
-        saveGralb(loaded.view, out_path, compressed);
+        saveGralb(loaded.view, out_path);
     else
         saveText(loaded.view, out_path);
     std::cout << "converted " << in_path << " -> " << out_path
@@ -332,8 +320,6 @@ cmdInfo(int argc, char **argv)
     if (loaded.isMapped) {
         table.addRow({"backing file",
                       formatBytes(loaded.mapped.fileBytes())});
-        table.addRow({"compressed",
-                      loaded.mapped.isCompressed() ? "yes" : "no"});
     }
     table.print(std::cout);
     return 0;
